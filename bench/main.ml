@@ -11,8 +11,9 @@
                                   (default: all)
      --runs N                     timed repetitions per measurement (default 1,
                                   after one warm-up when N > 1)
-     --jobs N                     worker domains for parallel evaluation
-                                  (default: RDFQA_JOBS, else 1)
+     --jobs N                     worker domains for parallel cover costing
+                                  and the workload driver (default:
+                                  RDFQA_JOBS, else 1)
      --bechamel                   also run the Bechamel micro-benchmarks
 
    Shapes to compare against the paper (absolute numbers differ: the
@@ -595,7 +596,7 @@ let minimization ctx =
 (* ---------- Workload driver: parallel query answering ---------- *)
 
 (* Answers every LUBM-small query with a fresh system per query (the
-   shared reformulation cache is thread-safe; engine-internal parallelism
+   shared reformulation cache is thread-safe; parallel cover costing
    yields to the outer fan-out through the pool's reentrancy fallback),
    once at jobs=1 and once at the configured width.  The two runs must
    agree bit-for-bit: decoded answer rows in relation order, chosen

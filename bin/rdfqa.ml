@@ -171,9 +171,10 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel UCQ/JUCQ evaluation and cover \
-           search (default: $(b,RDFQA_JOBS), else 1).  Answers, chosen \
-           covers and operation totals are identical at every N.")
+          "Worker domains for parallel cover costing (ECov/GCov); the \
+           engine itself always evaluates on one domain (default: \
+           $(b,RDFQA_JOBS), else 1).  Answers, chosen covers and operation \
+           totals are identical at every N.")
 
 let apply_jobs jobs =
   Option.iter
@@ -806,10 +807,9 @@ let check_cmd =
           ~doc:
             "Also run the static cost analyzer: derive guaranteed \
              $(i,[lo, hi]) operation intervals for each query's SCQ-cover \
-             plan against the engine profile (CB001/CB002/CB004/CB009), \
-             plus the parallel-safety lint of the morsel execution \
-             invariants (CB005-CB008).  Needs data: $(b,--data), or a \
-             workload (generated in-process at the CI trace scale).")
+             plan against the engine profile (CB001-CB004, CB009).  Needs \
+             data: $(b,--data), or a workload (generated in-process at the \
+             CI trace scale).")
   in
   let budget =
     Arg.(
@@ -970,10 +970,6 @@ let check_cmd =
             (name, ds)
           in
           List.map per_query queries
-          @ [
-              ( "parallel-safety",
-                Engine.Par_verify.lint ~context:"check/par" ~profile () );
-            ]
         end
       in
       let reports = reports @ cost_reports in

@@ -75,9 +75,8 @@ let selection_charge n = sat_add (max 1 (n / 64)) n
    counts, one charge each.
 
    Lower bound: the driving selection is resolved and charged exactly
-   once — also on the morsel-parallel path, where the coordinator issues
-   that charge itself — and its candidate count is exactly [c_0] (no
-   variable is bound yet).  When atom 0 binds pairwise-distinct
+   once, and its candidate count is exactly [c_0] (no variable is bound
+   yet).  When atom 0 binds pairwise-distinct
    variables, all [c_0] candidates unify, so with deeper atoms each of
    the [c_0] advanced rows triggers a depth-1 selection charging at
    least 1; with a single such atom the pipeline emits exactly [c_0]

@@ -86,10 +86,6 @@ let catalog =
     ("CB002", "static upper bound on operations fits the budget (provably safe)");
     ("CB003", "static lower bound on materialized rows exceeds the profile ceiling");
     ("CB004", "static operation interval straddles the budget (outcome data-dependent)");
-    ("CB005", "morsel ranges do not partition the scanned index range");
-    ("CB006", "partition function maps a key outside [0, parts)");
-    ("CB007", "partitioned merge order differs from the sequential order");
-    ("CB008", "charge-replay log count differs from the dispatched morsel count");
     ("CB009", "union term count provably exceeds the profile capacity");
   ]
 

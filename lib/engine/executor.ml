@@ -133,38 +133,24 @@ let check_materialization t rel =
 
 (* ---- charge logs (record-and-replay) ----
 
-   Determinism is a hard contract: with [--jobs N] the answers, the charge
-   totals and the failure points must be bit-identical to sequential
-   execution.  The scheme, shared by the disjunct fan-out and the
-   intra-operator morsel paths: worker domains run against a {e charge
-   log} — a run-length-encoded record of every [charge] call — and a
-   local relation; the coordinating domain then merges the results in
-   canonical (sequential) order, replaying each log through the real
-   [charge].  Budget failures therefore fire on the same charge call,
-   with the same [ops]/[total_ops], as they would sequentially.  A worker
-   whose local charge sum alone exceeds the budget stops early
-   ([Charge_overrun]): since the coordinator's cumulative count at that
-   work unit is at least the worker's local count, the replay of the
-   truncated log is guaranteed to raise before running off its end, so
-   truncation is unobservable. *)
-
-exception Charge_overrun
+   A {e charge log} is a run-length-encoded record of every [charge] call
+   of one evaluation, taken instead of charging the engine.  Materialized
+   fragment snapshots (below) keep one per disjunct and replay it through
+   the real [charge] on the using engine, so budget failures fire on the
+   same charge call, with the same [ops]/[total_ops], as a live
+   evaluation. *)
 
 type charge_log = {
   cvals : Store.Intvec.t;  (* RLE: distinct consecutive charge amounts *)
   ccounts : Store.Intvec.t;  (* RLE: repeat count per amount *)
   mutable clast : int;
-  mutable cacc : int;  (* local sum, for the early-stop bound *)
-  climit : int;
 }
 
-let charge_log limit =
+let charge_log () =
   {
     cvals = Store.Intvec.create ();
     ccounts = Store.Intvec.create ();
     clast = min_int;
-    cacc = 0;
-    climit = limit;
   }
 
 let record log n =
@@ -176,12 +162,10 @@ let record log n =
     Store.Intvec.push log.cvals n;
     Store.Intvec.push log.ccounts 1;
     log.clast <- n
-  end;
-  log.cacc <- log.cacc + n;
-  if log.cacc > log.climit then raise Charge_overrun
+  end
 
 (* Replays every recorded charge call individually (not merged): [ops]
-   crosses the budget on exactly the call where sequential execution would
+   crosses the budget on exactly the call where live evaluation would
    have raised, with the identical [total_ops] at that point. *)
 let replay t log =
   for i = 0 to Store.Intvec.length log.cvals - 1 do
@@ -364,8 +348,6 @@ type cq_counters = {
   probes : int array;  (* index lookups issued at depth k *)
   scanned : int array;  (* candidate ids visited at depth k *)
   advanced : int array;  (* rows depth k passed down to depth k+1 *)
-  mutable cq_morsels : int;  (* top-scan morsels dispatched; 0 = sequential *)
-  mutable cq_max_morsel_rows : int;  (* largest per-morsel emitted row count *)
 }
 
 let fresh_counters natoms =
@@ -373,22 +355,12 @@ let fresh_counters natoms =
     probes = Array.make natoms 0;
     scanned = Array.make natoms 0;
     advanced = Array.make natoms 0;
-    cq_morsels = 0;
-    cq_max_morsel_rows = 0;
   }
 
-(* [?charge] lets the parallel layer substitute a recording sink for the
-   engine's budget meter: a worker domain evaluates a disjunct against a
-   local charge log (above) instead of the shared executor counters.  The
-   default is the real [charge t] — the sequential path pays one indirect
-   call per charge and nothing else.
-
-   [?range] restricts the {e driving} (depth-0) selection to the candidate
-   indexes [lo, hi) — a morsel of the top scan.  The caller has already
-   charged and counted the whole top-level selection exactly once, so a
-   ranged run skips the depth-0 select charge and probe/scanned counters;
-   everything below depth 0 behaves as usual. *)
-let exec_cq t ?counters ?charge:charge_sink ?range (p : plan)
+(* [?charge] lets snapshot recording substitute a charge log (above) for
+   the engine's budget meter.  The default is the real [charge t] — live
+   evaluation pays one indirect call per charge and nothing else. *)
+let exec_cq t ?counters ?charge:charge_sink (p : plan)
     ~(emit : int array -> unit) =
   let ch = match charge_sink with Some f -> f | None -> charge t in
   let cq = p.pcq in
@@ -427,13 +399,10 @@ let exec_cq t ?counters ?charge:charge_sink ?range (p : plan)
          same statements) and the iteration. *)
       let sel = Es.select t.store ~s ~p ~o in
       let n = Es.selected_count sel in
-      let ranged = k = 0 && range <> None in
-      if not ranged then begin
-        ch (max 1 (n / 64) + n);
-        if tr then begin
-          ctr.probes.(k) <- ctr.probes.(k) + 1;
-          ctr.scanned.(k) <- ctr.scanned.(k) + n
-        end
+      ch (max 1 (n / 64) + n);
+      if tr then begin
+        ctr.probes.(k) <- ctr.probes.(k) + 1;
+        ctr.scanned.(k) <- ctr.scanned.(k) + n
       end;
       let base = 3 * k in
       let probe id =
@@ -460,118 +429,16 @@ let exec_cq t ?counters ?charge:charge_sink ?range (p : plan)
              is already proved, no reads or unification needed. *)
           step (k + 1)
       | Es.Ids v ->
-          let lo, hi =
-            match range with
-            | Some (lo, hi) when ranged -> (lo, min n hi)
-            | _ -> (0, n)
-          in
-          for idx = lo to hi - 1 do
+          for idx = 0 to n - 1 do
             probe (Store.Intvec.unsafe_get v idx)
           done
       | Es.All n ->
-          let lo, hi =
-            match range with
-            | Some (lo, hi) when ranged -> (lo, min n hi)
-            | _ -> (0, n)
-          in
-          for id = lo to hi - 1 do
+          for id = 0 to n - 1 do
             probe id
           done
     end
   in
   step 0
-
-(* ---- morsel-partitioned top-level scan ---- *)
-
-(* Splits the driving (depth-0) index selection of a CQ pipeline into
-   fixed-size morsels dispatched over the pool's atomic chunk counter.
-   Each worker runs the whole nested-loop pipeline over its sub-range of
-   the top selection into a private relation and charge log (plus private
-   scan counters when tracing); the coordinator then, in morsel-index
-   order, replays each log through the real budget meter and re-emits
-   each private relation's rows.  The emitted row order, every charge
-   value and any budget-failure point are therefore bit-identical to the
-   sequential scan.  The coordinator itself accounts for the top-level
-   selection — one charge of [max 1 (n/64) + n], one probe — exactly
-   once, as the sequential path does. *)
-let exec_cq_morsel t pool ?counters ~msize ~n (p : plan) ~emit =
-  let cq = p.pcq in
-  let natoms = Array.length p.porder in
-  let tr = counters <> None in
-  let w = Array.length cq.head in
-  charge t (max 1 (n / 64) + n);
-  (match counters with
-  | Some c ->
-      c.probes.(0) <- c.probes.(0) + 1;
-      c.scanned.(0) <- c.scanned.(0) + n
-  | None -> ());
-  let nmorsels = (n + msize - 1) / msize in
-  let results =
-    Par.parallel_map pool
-      (fun m ->
-        let lo = m * msize in
-        let hi = min n (lo + msize) in
-        let rel = Relation.create ~cols:w in
-        let log = charge_log t.profile.Profile.max_operations in
-        let ctr = if tr then Some (fresh_counters (max 1 natoms)) else None in
-        (try
-           exec_cq t ?counters:ctr ~charge:(record log) ~range:(lo, hi) p
-             ~emit:(fun row -> Relation.append rel row)
-         with Charge_overrun -> ());
-        (rel, log, ctr))
-      (Array.init nmorsels Fun.id)
-  in
-  (* Counter totals merge before the replays: a replay that dies on the
-     budget then still leaves honest (if not call-exact) partial scan
-     counters, and successful statements get exactly the sequential
-     totals — the morsel ranges partition the top selection. *)
-  (match counters with
-  | Some tot ->
-      tot.cq_morsels <- tot.cq_morsels + nmorsels;
-      Array.iter
-        (fun (rel, _, ctr) ->
-          (match ctr with
-          | Some c ->
-              for k = 0 to max 1 natoms - 1 do
-                tot.probes.(k) <- tot.probes.(k) + c.probes.(k);
-                tot.scanned.(k) <- tot.scanned.(k) + c.scanned.(k);
-                tot.advanced.(k) <- tot.advanced.(k) + c.advanced.(k)
-              done
-          | None -> ());
-          tot.cq_max_morsel_rows <-
-            max tot.cq_max_morsel_rows (Relation.rows rel))
-        results
-  | None -> ());
-  let buf = Array.make w 0 in
-  Array.iter
-    (fun (rel, log, _) ->
-      replay t log;
-      Relation.iteri_flat
-        (fun _ data off ->
-          Array.blit data off buf 0 w;
-          emit buf)
-        rel)
-    results
-
-(* Statement-level CQ execution: morsel-parallel when the pool is wide and
-   idle and the driving selection is big enough to split; the sequential
-   [exec_cq] otherwise (which is bit-identical by construction).  Worker-
-   side disjunct evaluation never lands here — it records into a charge
-   log and runs while the pool is busy with the disjunct fan-out. *)
-let exec_cq_auto t ?counters (p : plan) ~emit =
-  let pool = Par.get () in
-  if Par.jobs pool <= 1 || Par.is_busy pool || Array.length p.porder = 0 then
-    exec_cq t ?counters p ~emit
-  else begin
-    let msize = Profile.morsel_size t.profile in
-    let a = p.pcq.atoms.(p.porder.(0)) in
-    let code = function K c -> c | V _ -> -1 in
-    match Es.select t.store ~s:(code a.es) ~p:(code a.ep) ~o:(code a.eo) with
-    | (Es.Ids _ | Es.All _) as sel when Es.selected_count sel > msize ->
-        exec_cq_morsel t pool ?counters ~msize ~n:(Es.selected_count sel) p
-          ~emit
-    | _ -> exec_cq t ?counters p ~emit
-  end
 
 (* Plans (compile + atom order) are pure reads of the store and its
    statistics — neither phase calls [charge] — so memoizing them changes
@@ -616,10 +483,7 @@ let plan_of t (q : Bgp.t) =
       p
 
 (* UCQ-level plan memoization: one cache probe per fragment evaluation
-   covers every disjunct, instead of one structural hash per disjunct.
-   Always called on the coordinating domain, before any fan-out: workers
-   receive compiled plans and never touch the caches, the statistics or
-   the dictionary. *)
+   covers every disjunct, instead of one structural hash per disjunct. *)
 let ucq_plans t (u : Ucq.t) =
   with_plan_lock t @@ fun () ->
   flush_stale_plans t;
@@ -686,11 +550,6 @@ let admit ?budget ~context t stmt =
    the driving scan on top, each probed atom nested below it, estimated
    cardinalities from the greedy planner's own per-step scores. *)
 let attach_scan_chain (p : plan) ctr parent =
-  (* Parallelism degree of the pipeline's driving scan, surfaced on the
-     CQ node: morsels dispatched and the largest per-morsel output. *)
-  parent.Obs.Op_stats.morsels <- parent.Obs.Op_stats.morsels + ctr.cq_morsels;
-  parent.Obs.Op_stats.max_worker_rows <-
-    max parent.Obs.Op_stats.max_worker_rows ctr.cq_max_morsel_rows;
   let natoms = Array.length p.porder in
   let rec build k =
     if k >= natoms then None
@@ -718,21 +577,12 @@ let attach_scan_chain (p : plan) ctr parent =
    EXPLAIN.  With [stats = None] this is exactly [exec_cq]. *)
 let exec_cq_traced t ?stats p ~emit =
   match stats with
-  | None -> exec_cq_auto t p ~emit
+  | None -> exec_cq t p ~emit
   | Some parent ->
       let ctr = fresh_counters (max 1 (Array.length p.porder)) in
       Fun.protect
         ~finally:(fun () -> attach_scan_chain p ctr parent)
-        (fun () -> exec_cq_auto t ~counters:ctr p ~emit)
-
-(* Duplicate elimination at statement level: partitioned parallel dedup
-   with the first-occurrence order of [Relation.dedup], sequential
-   fallback when the pool is narrow or busy.  Charges nothing — the call
-   sites keep their own bulk charges, so the charge stream is unchanged. *)
-let dedup_rel ?stats t rel =
-  Morsel.dedup ?stats (Par.get ())
-    ~morsel:(Profile.morsel_size t.profile)
-    rel
+        (fun () -> exec_cq t ~counters:ctr p ~emit)
 
 (* ---- materialized fragment snapshots (the view tier's execution half) ----
 
@@ -785,9 +635,8 @@ let snapshot_bytes s =
    stable once all such encodes have happened. *)
 let prepare_fragment t (u : Ucq.t) = ignore (ucq_plans t u)
 
-(* Materializes one fragment UCQ into a snapshot.  Sequential on purpose:
-   the plain [exec_cq] per disjunct is the canonical charge stream the
-   morsel and fan-out paths are bit-identical to.  The recording engine's
+(* Materializes one fragment UCQ into a snapshot: [exec_cq] per disjunct,
+   charging into a log instead of the engine.  The recording engine's
    own counters are untouched — materialization is charge-invisible, so a
    workload's operation totals are identical with the view tier on or
    off. *)
@@ -795,7 +644,7 @@ let record_fragment t (u : Ucq.t) =
   let plans = ucq_plans t u in
   let n = Array.length plans in
   let out = Relation.create ~cols:(Ucq.arity u) in
-  let logs = Array.init n (fun _ -> charge_log max_int) in
+  let logs = Array.init n (fun _ -> charge_log ()) in
   let cum = Array.make n 0 in
   Array.iteri
     (fun i p ->
@@ -862,13 +711,7 @@ let eval_cq t (q : Bgp.t) =
   | Some p ->
       exec_cq_traced t ?stats:root p ~emit:(fun row -> Relation.append out row));
   let pre = Relation.rows out in
-  let dedup_node =
-    match root with
-    | None -> None
-    | Some _ ->
-        Some (Obs.Op_stats.make ~label:"set semantics" Obs.Op_stats.Dedup)
-  in
-  let result = dedup_rel ?stats:dedup_node t out in
+  let result = Relation.dedup out in
   charge t pre;
   (match root with
   | None -> ()
@@ -877,7 +720,9 @@ let eval_cq t (q : Bgp.t) =
       let rows = Relation.rows result in
       node.Obs.Op_stats.rows_out <- pre;
       node.Obs.Op_stats.est_rows <- est;
-      let dedup = Option.get dedup_node in
+      let dedup =
+        Obs.Op_stats.make ~label:"set semantics" Obs.Op_stats.Dedup
+      in
       dedup.Obs.Op_stats.est_rows <- est;
       dedup.Obs.Op_stats.rows_in <- pre;
       dedup.Obs.Op_stats.rows_out <- rows;
@@ -891,22 +736,13 @@ let eval_cq t (q : Bgp.t) =
 
 (* ---- UCQ execution ---- *)
 
-(* Shared epilogue of the sequential and parallel fragment paths: charge
-   one unit per accumulated pre-dedup row, deduplicate, enforce the
-   materialization ceiling, and (when tracing) close the fragment's
-   op-stats subtree — a Dedup root over the Union node. *)
+(* Fragment epilogue: charge one unit per accumulated pre-dedup row,
+   deduplicate, enforce the materialization ceiling, and (when tracing)
+   close the fragment's op-stats subtree — a Dedup root over the Union
+   node. *)
 let fragment_epilogue t ~label (u : Ucq.t) union_node out =
   charge t (Relation.rows out);
-  let dedup_node =
-    match union_node with
-    | None -> None
-    | Some _ ->
-        Some
-          (Obs.Op_stats.make
-             ~label:(if label = "" then "set semantics" else label)
-             Obs.Op_stats.Dedup)
-  in
-  let result = dedup_rel ?stats:dedup_node t out in
+  let result = Relation.dedup out in
   check_materialization t result;
   match union_node with
   | None -> (result, None)
@@ -916,7 +752,11 @@ let fragment_epilogue t ~label (u : Ucq.t) union_node out =
       let rows = Relation.rows result in
       un.Obs.Op_stats.rows_out <- pre;
       un.Obs.Op_stats.est_rows <- est;
-      let dd = Option.get dedup_node in
+      let dd =
+        Obs.Op_stats.make
+          ~label:(if label = "" then "set semantics" else label)
+          Obs.Op_stats.Dedup
+      in
       dd.Obs.Op_stats.est_rows <- est;
       dd.Obs.Op_stats.rows_in <- pre;
       dd.Obs.Op_stats.rows_out <- rows;
@@ -955,7 +795,7 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
       | None -> ()
       | Some p -> (
           match union_node with
-          | None -> exec_cq_auto t p ~emit
+          | None -> exec_cq t p ~emit
           | Some un ->
               let before = Relation.rows out in
               let cq = disjuncts.(i) in
@@ -973,121 +813,13 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
     (ucq_plans t u);
   fragment_epilogue t ~label u union_node out
 
-(* ---- parallel UCQ/JUCQ evaluation ----
-
-   Disjunct fan-out over the pool, under the record-and-replay scheme
-   documented at the charge-log machinery above. *)
-
-type disjunct_result = {
-  drel : Relation.t;  (* the disjunct's rows, in emission order *)
-  dlog : charge_log;
-  dctr : cq_counters option;  (* scan counters, when tracing *)
-}
-
-(* The worker-side task: pure with respect to the executor (only immutable
-   snapshot reads of the store; charges go to the local log, rows to a
-   local relation, scan counters to a local record).  Runs on any domain. *)
-let eval_disjunct t ~cols ~tracing (p : plan option) =
-  let rel = Relation.create ~cols in
-  let log = charge_log t.profile.Profile.max_operations in
-  let ctr =
-    match (tracing, p) with
-    | true, Some p -> Some (fresh_counters (max 1 (Array.length p.porder)))
-    | _ -> None
-  in
-  (match p with
-  | None -> ()
-  | Some p -> (
-      try
-        exec_cq t ?counters:ctr ~charge:(record log) p ~emit:(fun row ->
-            Relation.append rel row)
-      with Charge_overrun -> ()));
-  { drel = rel; dlog = log; dctr = ctr }
-
-let append_rows out rel =
-  Relation.iteri_flat (fun _ data off -> Relation.append_slice out data off) rel
-
-(* Coordinator-side merge of pre-evaluated disjuncts, in canonical
-   (sequential) order.  Mirrors [eval_ucq_fragment] observable-for-
-   observable: replayed charges, per-disjunct materialization checks, the
-   op-stats tree and the estimate stream all happen in the same order with
-   the same values. *)
-let merge_fragment t ?(label = "") (u : Ucq.t) (plans : plan option array)
-    (results : disjunct_result array) =
-  let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(Ucq.arity u) in
-  let union_node =
-    if tr then
-      Some
-        (Obs.Op_stats.make
-           ~label:(Printf.sprintf "%d disjuncts" (Ucq.cardinal u))
-           Obs.Op_stats.Union)
-    else None
-  in
-  let disjuncts = if tr then Array.of_list (Ucq.disjuncts u) else [||] in
-  Array.iteri
-    (fun i p ->
-      (match p with
-      | None -> ()
-      | Some plan -> (
-          let d = results.(i) in
-          match union_node with
-          | None ->
-              replay t d.dlog;
-              append_rows out d.drel
-          | Some un ->
-              let cq = disjuncts.(i) in
-              let est = Store.Statistics.cq_cardinality t.stats cq in
-              let cqn =
-                Obs.Op_stats.make ~label:(Bgp.to_string cq) ~est_rows:est
-                  Obs.Op_stats.Cq
-              in
-              Obs.Op_stats.add_child un cqn;
-              (* As in the sequential traced path, the scan chain is
-                 attached even when the replay dies on the budget — failed
-                 statements keep a partial EXPLAIN. *)
-              Fun.protect
-                ~finally:(fun () ->
-                  match d.dctr with
-                  | Some ctr -> attach_scan_chain plan ctr cqn
-                  | None -> ())
-                (fun () -> replay t d.dlog);
-              append_rows out d.drel;
-              cqn.Obs.Op_stats.rows_out <- Relation.rows d.drel;
-              Obs.record_estimate ~label:"cq" ~est
-                ~actual:(float_of_int (Relation.rows d.drel))));
-      check_materialization t out)
-    plans;
-  fragment_epilogue t ~label u union_node out
-
-(* Parallel counterpart of [eval_ucq_fragment]: compile on the coordinator,
-   fan the disjuncts out over the pool, merge in order. *)
-let eval_ucq_fragment_par t pool ?(label = "") (u : Ucq.t) =
-  let terms = Ucq.cardinal u in
-  if terms > t.profile.Profile.max_union_terms then
-    fail t
-      (Profile.Union_capacity
-         { terms; limit = t.profile.Profile.max_union_terms });
-  let plans = ucq_plans t u in
-  let tr = Obs.enabled () in
-  let cols = Ucq.arity u in
-  let results =
-    Par.parallel_map pool (eval_disjunct t ~cols ~tracing:tr) plans
-  in
-  merge_fragment t ~label u plans results
-
 let eval_ucq t u =
   begin_statement t;
   Analysis.Plan_verify.check_exn (fun () ->
       Analysis.Plan_verify.verify_ucq ~context:"executor/ucq" u);
   admit ~context:"executor/ucq" t (Analysis.Cost_verify.Ucq u);
   Obs.Span.with_ "exec.ucq" @@ fun sp ->
-  let pool = Par.get () in
-  let result, tree =
-    if Par.jobs pool <= 1 || Ucq.cardinal u <= 1 then
-      eval_ucq_fragment t ~label:"ucq" u
-    else eval_ucq_fragment_par t pool ~label:"ucq" u
-  in
+  let result, tree = eval_ucq_fragment t ~label:"ucq" u in
   (match tree with
   | None -> ()
   | Some dd ->
@@ -1145,9 +877,35 @@ let hash_join ?stats t a b =
   let probe_rel, probe_key =
     if build_on_b then (a.rel, key_a) else (b.rel, key_b)
   in
-  let nprobe = Relation.rows probe_rel in
-  (* Projects one (probe offset, build row) match into a row of [dst]. *)
-  let emit_pair dst buf poff i =
+  let tbl = Rowtable.create ~width:nkeys ~capacity:(max 16 nbuild) () in
+  let next = Array.make (max 1 nbuild) (-1) in
+  let kbuf = Array.make (max 1 nkeys) 0 in
+  let buf = Array.make (na_cols + npay) 0 in
+  for i = 0 to nbuild - 1 do
+    charge t 1;
+    let off = i * build_cols in
+    for j = 0 to nkeys - 1 do
+      kbuf.(j) <- build_data.(off + Array.unsafe_get build_key j)
+    done;
+    let e =
+      match stats with
+      | None -> Rowtable.find_or_add tbl kbuf 0
+      | Some node ->
+          let before = Rowtable.length tbl in
+          let e = Rowtable.find_or_add tbl kbuf 0 in
+          if Rowtable.length tbl > before then
+            node.Obs.Op_stats.hash_inserts <-
+              node.Obs.Op_stats.hash_inserts + 1
+          else
+            node.Obs.Op_stats.hash_collisions <-
+              node.Obs.Op_stats.hash_collisions + 1;
+          e
+    in
+    next.(i) <- Rowtable.value tbl e;
+    Rowtable.set_value tbl e i
+  done;
+  (* Projects one (probe offset, build row) match into a row of [out]. *)
+  let emit_pair poff i =
     let aoff, boff =
       if build_on_b then (poff, i * bcols) else (i * na_cols, poff)
     in
@@ -1155,174 +913,26 @@ let hash_join ?stats t a b =
     for j = 0 to npay - 1 do
       buf.(na_cols + j) <- bdata.(boff + Array.unsafe_get pay_b j)
     done;
-    Relation.append dst buf
+    Relation.append out buf
   in
-  let pool = Par.get () in
-  let msize = Profile.morsel_size t.profile in
-  if Par.jobs pool > 1 && (not (Par.is_busy pool)) && nprobe > msize
-     && nbuild > 0
-  then begin
-    (* ---- partitioned path ----
-       (a) The build side's budget charges, issued exactly as the
-       sequential build loop issues them — they are its only observable
-       effects, so a budget trip mid-build fires at the identical call. *)
-    for _ = 1 to nbuild do
-      charge t 1
-    done;
-    (* (b) Radix-partitioned build: worker [pid] scans every build row in
-       global order and inserts those whose key hashes to its partition,
-       so each key's bucket chain is exactly the sequential chain (LIFO by
-       global build-row index).  [next] is shared — a row index is written
-       by the one partition owning its key, so writes are disjoint and the
-       fan-out barrier publishes them.  Per-partition insert/collision
-       counts sum to the sequential totals: each distinct key lives in
-       exactly one partition. *)
-    let parts = Par.jobs pool in
-    let next = Array.make (max 1 nbuild) (-1) in
-    let builds =
-      Par.parallel_map pool
-        (fun pid ->
-          let tbl =
-            Rowtable.create ~width:nkeys
-              ~capacity:(max 16 (nbuild / parts))
-              ()
-          in
-          let kbuf = Array.make (max 1 nkeys) 0 in
-          let inserts = ref 0 and collisions = ref 0 in
-          for i = 0 to nbuild - 1 do
-            let off = i * build_cols in
-            for j = 0 to nkeys - 1 do
-              kbuf.(j) <- build_data.(off + Array.unsafe_get build_key j)
-            done;
-            if Morsel.partition_of ~width:nkeys ~parts kbuf 0 = pid then begin
-              let before = Rowtable.length tbl in
-              let e = Rowtable.find_or_add tbl kbuf 0 in
-              if Rowtable.length tbl > before then incr inserts
-              else incr collisions;
-              next.(i) <- Rowtable.value tbl e;
-              Rowtable.set_value tbl e i
-            end
-          done;
-          (tbl, !inserts, !collisions))
-        (Array.init parts Fun.id)
-    in
-    (match stats with
-    | Some node ->
-        Array.iter
-          (fun (_, ins, coll) ->
-            node.Obs.Op_stats.hash_inserts <-
-              node.Obs.Op_stats.hash_inserts + ins;
-            node.Obs.Op_stats.hash_collisions <-
-              node.Obs.Op_stats.hash_collisions + coll)
-          builds
-    | None -> ());
-    (* (c) Probe morsels: each worker routes its probe rows to their
-       partitions' (now read-only) tables, chases the chains into a
-       private relation, and records the per-row charges; the coordinator
-       replays log then rows in morsel-index order — identical output
-       order, charge stream and failure point as the sequential probe
-       loop. *)
-    let nmorsels = (nprobe + msize - 1) / msize in
-    let pcols = Relation.cols probe_rel in
-    let pdata = Relation.unsafe_data probe_rel in
-    let probes =
-      Par.parallel_map pool
-        (fun m ->
-          let lo = m * msize in
-          let hi = min nprobe (lo + msize) in
-          let rel = Relation.create ~cols:(na_cols + npay) in
-          let log = charge_log t.profile.Profile.max_operations in
-          let kbuf = Array.make (max 1 nkeys) 0 in
-          let buf = Array.make (na_cols + npay) 0 in
-          (try
-             for r = lo to hi - 1 do
-               let poff = r * pcols in
-               record log 1;
-               for j = 0 to nkeys - 1 do
-                 kbuf.(j) <- pdata.(poff + Array.unsafe_get probe_key j)
-               done;
-               let tbl, _, _ =
-                 builds.(Morsel.partition_of ~width:nkeys ~parts kbuf 0)
-               in
-               let e = Rowtable.find tbl kbuf 0 in
-               if e >= 0 then begin
-                 let rec chase i =
-                   if i >= 0 then begin
-                     record log 1;
-                     emit_pair rel buf poff i;
-                     chase next.(i)
-                   end
-                 in
-                 chase (Rowtable.value tbl e)
-               end
-             done
-           with Charge_overrun -> ());
-          (rel, log))
-        (Array.init nmorsels Fun.id)
-    in
-    (match stats with
-    | Some node ->
-        node.Obs.Op_stats.morsels <- node.Obs.Op_stats.morsels + nmorsels;
-        Array.iter
-          (fun (rel, _) ->
-            node.Obs.Op_stats.max_worker_rows <-
-              max node.Obs.Op_stats.max_worker_rows (Relation.rows rel))
-          probes
-    | None -> ());
-    Array.iter
-      (fun (rel, log) ->
-        replay t log;
-        Relation.append_all out rel)
-      probes
-  end
-  else begin
-    (* ---- sequential path ---- *)
-    let tbl = Rowtable.create ~width:nkeys ~capacity:(max 16 nbuild) () in
-    let next = Array.make (max 1 nbuild) (-1) in
-    let kbuf = Array.make (max 1 nkeys) 0 in
-    let buf = Array.make (na_cols + npay) 0 in
-    for i = 0 to nbuild - 1 do
+  Relation.iteri_flat
+    (fun _ pdata poff ->
       charge t 1;
-      let off = i * build_cols in
       for j = 0 to nkeys - 1 do
-        kbuf.(j) <- build_data.(off + Array.unsafe_get build_key j)
+        kbuf.(j) <- pdata.(poff + Array.unsafe_get probe_key j)
       done;
-      let e =
-        match stats with
-        | None -> Rowtable.find_or_add tbl kbuf 0
-        | Some node ->
-            let before = Rowtable.length tbl in
-            let e = Rowtable.find_or_add tbl kbuf 0 in
-            if Rowtable.length tbl > before then
-              node.Obs.Op_stats.hash_inserts <-
-                node.Obs.Op_stats.hash_inserts + 1
-            else
-              node.Obs.Op_stats.hash_collisions <-
-                node.Obs.Op_stats.hash_collisions + 1;
-            e
-      in
-      next.(i) <- Rowtable.value tbl e;
-      Rowtable.set_value tbl e i
-    done;
-    Relation.iteri_flat
-      (fun _ pdata poff ->
-        charge t 1;
-        for j = 0 to nkeys - 1 do
-          kbuf.(j) <- pdata.(poff + Array.unsafe_get probe_key j)
-        done;
-        let e = Rowtable.find tbl kbuf 0 in
-        if e >= 0 then begin
-          let rec chase i =
-            if i >= 0 then begin
-              charge t 1;
-              emit_pair out buf poff i;
-              chase next.(i)
-            end
-          in
-          chase (Rowtable.value tbl e)
-        end)
-      probe_rel
-  end;
+      let e = Rowtable.find tbl kbuf 0 in
+      if e >= 0 then begin
+        let rec chase i =
+          if i >= 0 then begin
+            charge t 1;
+            emit_pair poff i;
+            chase next.(i)
+          end
+        in
+        chase (Rowtable.value tbl e)
+      end)
+    probe_rel;
   check_materialization t out;
   (match stats with
   | None -> ()
@@ -1330,7 +940,7 @@ let hash_join ?stats t a b =
       let na = Relation.rows a.rel and nb = Relation.rows b.rel in
       node.Obs.Op_stats.rows_in <- na + nb;
       node.Obs.Op_stats.index_probes <-
-        nprobe + node.Obs.Op_stats.index_probes;
+        Relation.rows probe_rel + node.Obs.Op_stats.index_probes;
       node.Obs.Op_stats.rows_out <- Relation.rows out;
       node.Obs.Op_stats.work_units <- na + nb + Relation.rows out);
   { columns = a.columns @ b_only; rel = out }
@@ -1454,7 +1064,6 @@ let eval_jucq ?views t (j : Jucq.t) =
     j.Jucq.fragments;
   Obs.Span.with_ "exec.jucq" @@ fun sp ->
   let tr = Obs.enabled () in
-  let pool = Par.get () in
   (* View probes are bypassed while tracing: a snapshot carries no
      per-disjunct op-stats, and the charge contract makes the fallback
      evaluation bit-identical anyway — traced statements just show the
@@ -1467,70 +1076,19 @@ let eval_jucq ?views t (j : Jucq.t) =
     { jnr = { columns = Bgp.head_vars cq; rel }; jatoms = []; jtree = None }
   in
   let fragments =
-    if Par.jobs pool <= 1 then
-      List.map
-        (fun ((cq : Bgp.t), u) ->
-          match lookup (cq, u) with
-          | Some snap -> hit_input cq snap
-          | None ->
-              let label = if tr then "fragment " ^ Bgp.to_string cq else "" in
-              let rel, tree = eval_ucq_fragment t ~label u in
-              {
-                jnr = { columns = Bgp.head_vars cq; rel };
-                jatoms = (if tr then cq.Bgp.body else []);
-                jtree = tree;
-              })
-        j.Jucq.fragments
-    else begin
-      (* Materialize every fragment concurrently: compile all plans on the
-         coordinator, flatten (fragment, disjunct) into one task batch so
-         small fragments do not serialize behind large ones, then merge
-         fragment by fragment in list order — the charge stream is exactly
-         the sequential one.  View-served fragments never enter the task
-         batch: their logs replay on the coordinator at merge position,
-         exactly where the sequential path replays them. *)
-      let frags =
-        List.map
-          (fun ((cq, u) : Bgp.t * Ucq.t) ->
-            match lookup (cq, u) with
-            | Some snap -> ((cq, u), `Snap snap)
-            | None -> ((cq, u), `Plans (ucq_plans t u)))
-          j.Jucq.fragments
-      in
-      let tasks =
-        Array.of_list
-          (List.concat_map
-             (fun ((_, u), how) ->
-               match how with
-               | `Snap _ -> []
-               | `Plans plans ->
-                   let cols = Ucq.arity u in
-                   Array.to_list (Array.map (fun p -> (cols, p)) plans))
-             frags)
-      in
-      let results =
-        Par.parallel_map pool
-          (fun (cols, p) -> eval_disjunct t ~cols ~tracing:tr p)
-          tasks
-      in
-      let off = ref 0 in
-      List.map
-        (fun (((cq : Bgp.t), u), how) ->
-          match how with
-          | `Snap snap -> hit_input cq snap
-          | `Plans plans ->
-              let k = Array.length plans in
-              let slice = Array.sub results !off k in
-              off := !off + k;
-              let label = if tr then "fragment " ^ Bgp.to_string cq else "" in
-              let rel, tree = merge_fragment t ~label u plans slice in
-              {
-                jnr = { columns = Bgp.head_vars cq; rel };
-                jatoms = (if tr then cq.Bgp.body else []);
-                jtree = tree;
-              })
-        frags
-    end
+    List.map
+      (fun ((cq : Bgp.t), u) ->
+        match lookup (cq, u) with
+        | Some snap -> hit_input cq snap
+        | None ->
+            let label = if tr then "fragment " ^ Bgp.to_string cq else "" in
+            let rel, tree = eval_ucq_fragment t ~label u in
+            {
+              jnr = { columns = Bgp.head_vars cq; rel };
+              jatoms = (if tr then cq.Bgp.body else []);
+              jtree = tree;
+            })
+      j.Jucq.fragments
   in
   (* Greedy join order: start from the smallest fragment, then repeatedly
      join the smallest fragment sharing a column with the accumulated
@@ -1636,77 +1194,24 @@ let eval_jucq ?views t (j : Jucq.t) =
      projected into [buf] and appended only if its head is new.  The work
      accounting is that of the former materialize-then-dedup pipeline (one
      unit per joined row, then one per pre-dedup projected row — the same
-     count), so the same statements fail for the same reasons.
-
-     On a wide, non-busy pool with more joined rows than one morsel the
-     projection fans out instead: the per-row charges are issued up front
-     (they are the fused loop's only observable effects besides the output
-     itself), morsels project into private relations that are concatenated
-     in morsel order, and [Morsel.dedup] reproduces the fused loop's
-     first-occurrence order exactly. *)
+     count), so the same statements fail for the same reasons. *)
   let head_cols = Array.of_list head_cols in
   let nhead = Array.length head_cols in
   let njoined = Relation.rows joined.rel in
-  let pool = Par.get () in
-  let msize = Profile.morsel_size t.profile in
-  let proj_morsels = ref 0 and proj_max = ref 0 in
-  let out =
-    if Par.jobs pool > 1 && (not (Par.is_busy pool)) && njoined > msize
-       && nhead > 0
-    then begin
-      for _ = 1 to njoined do
-        charge t 1
+  let out = Relation.create ~cols:nhead in
+  let buf = Array.make nhead 0 in
+  let seen = Rowtable.create ~width:nhead ~capacity:(max 16 njoined) () in
+  Relation.iteri_flat
+    (fun _ data off ->
+      charge t 1;
+      for i = 0 to nhead - 1 do
+        buf.(i) <-
+          (match Array.unsafe_get head_cols i with
+          | `Col j' -> data.(off + j')
+          | `Const code -> code)
       done;
-      let jdata = Relation.unsafe_data joined.rel in
-      let jcols = Relation.cols joined.rel in
-      let nmorsels = (njoined + msize - 1) / msize in
-      let pieces =
-        Par.parallel_map pool
-          (fun m ->
-            let lo = m * msize in
-            let hi = min njoined (lo + msize) in
-            let rel = Relation.create ~cols:nhead in
-            let buf = Array.make nhead 0 in
-            for r = lo to hi - 1 do
-              let off = r * jcols in
-              for i = 0 to nhead - 1 do
-                buf.(i) <-
-                  (match Array.unsafe_get head_cols i with
-                  | `Col j' -> jdata.(off + j')
-                  | `Const code -> code)
-              done;
-              Relation.append rel buf
-            done;
-            rel)
-          (Array.init nmorsels Fun.id)
-      in
-      proj_morsels := nmorsels;
-      let projected = Relation.create ~cols:nhead in
-      Array.iter
-        (fun rel ->
-          proj_max := max !proj_max (Relation.rows rel);
-          Relation.append_all projected rel)
-        pieces;
-      Morsel.dedup pool ~morsel:msize projected
-    end
-    else begin
-      let out = Relation.create ~cols:nhead in
-      let buf = Array.make nhead 0 in
-      let seen = Rowtable.create ~width:nhead ~capacity:(max 16 njoined) () in
-      Relation.iteri_flat
-        (fun _ data off ->
-          charge t 1;
-          for i = 0 to nhead - 1 do
-            buf.(i) <-
-              (match Array.unsafe_get head_cols i with
-              | `Col j' -> data.(off + j')
-              | `Const code -> code)
-          done;
-          if Rowtable.add_if_absent seen buf 0 then Relation.append out buf)
-        joined.rel;
-      out
-    end
-  in
+      if Rowtable.add_if_absent seen buf 0 then Relation.append out buf)
+    joined.rel;
   charge t njoined;
   check_materialization t out;
   if tr then begin
@@ -1725,8 +1230,6 @@ let eval_jucq ?views t (j : Jucq.t) =
     proj.Obs.Op_stats.rows_in <- njoined;
     proj.Obs.Op_stats.rows_out <- njoined;
     proj.Obs.Op_stats.work_units <- njoined;
-    proj.Obs.Op_stats.morsels <- !proj_morsels;
-    proj.Obs.Op_stats.max_worker_rows <- !proj_max;
     (match jtree with
     | Some x -> Obs.Op_stats.add_child proj x
     | None -> ());

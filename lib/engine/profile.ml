@@ -7,18 +7,12 @@ exception Engine_failure of { engine : string; reason : failure_reason }
 
 type join_algorithm = Hash_join | Block_nested_loop
 
-(* Rows per morsel for intra-operator parallelism.  Small enough that a
-   skewed scan still load-balances across workers, large enough that the
-   atomic chunk dispatch is noise next to the per-row work. *)
-let default_morsel_size = 1024
-
 type t = {
   name : string;
   max_union_terms : int;
   max_materialized_rows : int;
   max_operations : int;
   fragment_join : join_algorithm;
-  morsel_size : int;
   c_db : float;
   c_t : float;
   c_j : float;
@@ -33,7 +27,6 @@ let postgres_like =
     max_materialized_rows = 4_000_000;
     max_operations = 2_000_000_000;
     fragment_join = Hash_join;
-    morsel_size = default_morsel_size;
     c_db = 0.5;
     c_t = 0.00012;
     c_j = 0.00020;
@@ -48,7 +41,6 @@ let db2_like =
     max_materialized_rows = 8_000_000;
     max_operations = 2_000_000_000;
     fragment_join = Hash_join;
-    morsel_size = default_morsel_size;
     c_db = 0.8;
     c_t = 0.00010;
     c_j = 0.00018;
@@ -66,7 +58,6 @@ let mysql_like =
        premature failures *)
     max_operations = 40_000_000_000;
     fragment_join = Block_nested_loop;
-    morsel_size = default_morsel_size;
     c_db = 0.3;
     c_t = 0.00015;
     c_j = 0.00060;
@@ -81,7 +72,6 @@ let virtuoso_like =
     max_materialized_rows = 16_000_000;
     max_operations = 4_000_000_000;
     fragment_join = Hash_join;
-    morsel_size = default_morsel_size;
     c_db = 0.2;
     c_t = 0.00006;
     c_j = 0.00010;
@@ -90,14 +80,6 @@ let virtuoso_like =
   }
 
 let all = [ postgres_like; db2_like; mysql_like ]
-
-let morsel_size t =
-  match Sys.getenv_opt "RDFQA_MORSEL" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some m when m >= 1 -> m
-      | _ -> t.morsel_size)
-  | None -> t.morsel_size
 
 let failure_to_string = function
   | Union_capacity { terms; limit } ->

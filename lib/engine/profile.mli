@@ -44,9 +44,6 @@ type t = {
   max_materialized_rows : int;
   max_operations : int;
   fragment_join : join_algorithm;
-  morsel_size : int;
-      (** rows per morsel for intra-operator parallelism (see
-          {!morsel_size} for the environment override) *)
   (* default Section 4.1 coefficients (overridden by calibration): *)
   c_db : float;    (** fixed per-statement connection/startup overhead *)
   c_t : float;     (** per-tuple scan cost *)
@@ -76,10 +73,3 @@ val all : t list
 
 val failure_to_string : failure_reason -> string
 (** Human-readable reason, e.g. for bench output. *)
-
-val morsel_size : t -> int
-(** The profile's morsel size, overridden by the [RDFQA_MORSEL]
-    environment variable when it parses to a positive integer.  Morsel
-    size only affects how intra-operator work is split across domains —
-    answers, charge totals and failure points are bit-identical at every
-    setting. *)

@@ -22,26 +22,6 @@ let append r row =
   Array.blit row 0 r.data (r.nrows * r.ncols) r.ncols;
   r.nrows <- r.nrows + 1
 
-let append_slice r src off =
-  if off < 0 || off + r.ncols > Array.length src then
-    invalid_arg "Relation.append_slice: slice out of bounds";
-  ensure_capacity r;
-  Array.blit src off r.data (r.nrows * r.ncols) r.ncols;
-  r.nrows <- r.nrows + 1
-
-let append_all dst src =
-  if src.ncols <> dst.ncols then
-    invalid_arg "Relation.append_all: arity mismatch";
-  let words = src.nrows * src.ncols in
-  let needed = (dst.nrows * dst.ncols) + words in
-  if needed > Array.length dst.data then begin
-    let data = Array.make (max needed (2 * Array.length dst.data)) 0 in
-    Array.blit dst.data 0 data 0 (dst.nrows * dst.ncols);
-    dst.data <- data
-  end;
-  Array.blit src.data 0 dst.data (dst.nrows * dst.ncols) words;
-  dst.nrows <- dst.nrows + src.nrows
-
 let get r i j =
   if i < 0 || i >= r.nrows || j < 0 || j >= r.ncols then
     invalid_arg "Relation.get: out of bounds";
@@ -91,7 +71,11 @@ let dedup r =
   let w = r.ncols in
   for i = 0 to r.nrows - 1 do
     let off = i * w in
-    if Rowtable.add_if_absent seen r.data off then append_slice out r.data off
+    if Rowtable.add_if_absent seen r.data off then begin
+      ensure_capacity out;
+      Array.blit r.data off out.data (out.nrows * w) w;
+      out.nrows <- out.nrows + 1
+    end
   done;
   out
 

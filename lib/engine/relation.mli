@@ -15,18 +15,6 @@ val rows : t -> int
 val append : t -> int array -> unit
 (** Appends one row.  Raises [Invalid_argument] on an arity mismatch. *)
 
-val append_slice : t -> int array -> int -> unit
-(** [append_slice r src off] appends the [cols r] values at
-    [src.(off) .. src.(off + cols r - 1)] as one row — the write half of
-    the cursor API: rows move between relations without an intermediate
-    [int array] per row. *)
-
-val append_all : t -> t -> unit
-(** [append_all dst src] appends every row of [src] to [dst] in order, as
-    one bulk blit — the merge half of morsel-partitioned execution, where
-    per-worker relations are concatenated in morsel order.  Raises
-    [Invalid_argument] on an arity mismatch. *)
-
 val get : t -> int -> int -> int
 (** [get r i j] is column [j] of row [i]. *)
 

@@ -34,7 +34,7 @@ let attrs_obj attrs =
 let meta_line ?(store_bytes = -1) () =
   let gc = Gc.quick_stat () in
   Printf.sprintf
-    "{\"type\":\"meta\",\"schema\":1,\"generator\":\"rdfqa\",\"jobs\":%d,\"effective_jobs\":%d,\"gc_minor_collections\":%d,\"gc_major_collections\":%d,\"gc_heap_words\":%d,\"store_bytes\":%d}"
+    "{\"type\":\"meta\",\"schema\":2,\"generator\":\"rdfqa\",\"jobs\":%d,\"effective_jobs\":%d,\"gc_minor_collections\":%d,\"gc_major_collections\":%d,\"gc_heap_words\":%d,\"store_bytes\":%d}"
     (Par.current_jobs ()) (Par.effective_jobs ())
     gc.Gc.minor_collections gc.Gc.major_collections gc.Gc.heap_words
     store_bytes
@@ -61,14 +61,12 @@ let estimate_line (e : Trace.estimate) =
 
 let op_line ~path (n : Op_stats.t) =
   Printf.sprintf
-    "{\"type\":\"op\",\"path\":\"%s\",\"kind\":\"%s\",\"label\":\"%s\",\"rows_in\":%d,\"rows_out\":%d,\"index_probes\":%d,\"hash_inserts\":%d,\"hash_collisions\":%d,\"work_units\":%d,\"morsels\":%d,\"skew\":%s,\"est_rows\":%s}"
+    "{\"type\":\"op\",\"path\":\"%s\",\"kind\":\"%s\",\"label\":\"%s\",\"rows_in\":%d,\"rows_out\":%d,\"index_probes\":%d,\"hash_inserts\":%d,\"hash_collisions\":%d,\"work_units\":%d,\"est_rows\":%s}"
     (json_escape path)
     (Op_stats.kind_name n.Op_stats.kind)
     (json_escape n.Op_stats.label)
     n.Op_stats.rows_in n.Op_stats.rows_out n.Op_stats.index_probes
     n.Op_stats.hash_inserts n.Op_stats.hash_collisions n.Op_stats.work_units
-    n.Op_stats.morsels
-    (json_float (match Op_stats.skew n with Some s -> s | None -> -1.0))
     (json_float n.Op_stats.est_rows)
 
 let counter_line (name, value) =

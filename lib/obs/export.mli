@@ -4,7 +4,7 @@
 
     Every line is a JSON object with a ["type"] discriminator:
 
-    - [{"type":"meta","schema":1,"generator":"rdfqa","jobs":i,
+    - [{"type":"meta","schema":2,"generator":"rdfqa","jobs":i,
         "effective_jobs":i}] — first line; [jobs ≥ 1] is the {e requested}
       parallelism width ([--jobs] / [RDFQA_JOBS]), [effective_jobs ≥ 1]
       the width the pool actually ran at after the core clamp
@@ -18,12 +18,9 @@
       estimated-vs-actual cardinality observation; [q_error ≥ 1].
     - [{"type":"op","path":s,"kind":s,"label":s,"rows_in":i,"rows_out":i,
         "index_probes":i,"hash_inserts":i,"hash_collisions":i,
-        "work_units":i,"morsels":i,"skew":f,"est_rows":f}] — one
-      plan-operator node; [path] is the dotted child-index path ("0",
-      "0.1", …), [kind] one of {!Op_stats.kind_name}'s values, [morsels]
-      is the number of morsels the operator dispatched (0 = sequential),
-      [skew] the {!Op_stats.skew} load-balance ratio ([-1] when
-      sequential or empty), [est_rows] is [-1] when unknown.
+        "work_units":i,"est_rows":f}] — one plan-operator node; [path] is
+      the dotted child-index path ("0", "0.1", …), [kind] one of
+      {!Op_stats.kind_name}'s values, [est_rows] is [-1] when unknown.
     - [{"type":"counter","name":s,"value":i}] — a named counter total.
 
     [test/validate_trace.ml] checks emitted files against exactly this

@@ -17,8 +17,6 @@ type t = {
   mutable hash_inserts : int;
   mutable hash_collisions : int;
   mutable work_units : int;
-  mutable morsels : int;
-  mutable max_worker_rows : int;
   mutable est_rows : float;
   mutable children_rev : t list;
 }
@@ -33,8 +31,6 @@ let make ?(label = "") ?(est_rows = -1.0) kind =
     hash_inserts = 0;
     hash_collisions = 0;
     work_units = 0;
-    morsels = 0;
-    max_worker_rows = 0;
     est_rows;
     children_rev = [];
   }
@@ -61,16 +57,6 @@ let display_name = function
   | Bnl_join -> "BlockNestedLoopJoin"
   | Project -> "Project"
   | Result -> "Result"
-
-(* How unevenly the parallel work split: largest per-morsel output over
-   the ideal even share.  1.0 = perfectly balanced; None when the operator
-   ran sequentially (no morsels) or produced nothing. *)
-let skew t =
-  if t.morsels <= 0 || t.rows_out <= 0 then None
-  else
-    let ideal = float_of_int t.rows_out /. float_of_int t.morsels in
-    (* max >= mean, so the ratio is >= 1; clamp away float rounding *)
-    Some (Float.max 1.0 (float_of_int t.max_worker_rows /. ideal))
 
 let q_error t =
   if t.est_rows < 0.0 then None
@@ -110,10 +96,6 @@ let node_line t =
   opt "inserts" t.hash_inserts;
   opt "collisions" t.hash_collisions;
   opt "work" t.work_units;
-  opt "morsels" t.morsels;
-  (match skew t with
-  | Some s -> Buffer.add_string buf (Printf.sprintf " skew=%.2f" s)
-  | None -> ());
   Buffer.add_char buf ')';
   Buffer.contents buf
 

@@ -27,8 +27,6 @@ type t = {
   mutable hash_inserts : int;  (** distinct keys inserted (builds/dedups) *)
   mutable hash_collisions : int;  (** keyed rows landing on an existing key *)
   mutable work_units : int;  (** operation-budget units charged here *)
-  mutable morsels : int;  (** morsels dispatched; 0 = ran sequentially *)
-  mutable max_worker_rows : int;  (** largest per-morsel output row count *)
   mutable est_rows : float;  (** estimated cardinality; negative = unknown *)
   mutable children_rev : t list;  (** inputs, in reverse attach order *)
 }
@@ -45,11 +43,6 @@ val children : t -> t list
 val kind_name : kind -> string
 (** Lowercase stable name (["index_scan"], ["hash_join"], …) used by the
     JSON exporters and their schema. *)
-
-val skew : t -> float option
-(** Load-balance ratio of the parallel split: the largest per-morsel
-    output over the ideal even share ([1.0] = perfectly balanced).
-    [None] when the operator ran sequentially or produced no rows. *)
 
 val q_error : t -> float option
 (** The node's {!Trace.q_error} when an estimate was recorded. *)

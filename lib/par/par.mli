@@ -1,12 +1,12 @@
-(** Zero-dependency domain pool for the parallel execution layer.
+(** Zero-dependency domain pool for parallel cover costing and the bench
+    harness (the engine itself evaluates on one domain).
 
     A pool owns a fixed set of [jobs - 1] worker {!Domain.t}s (the calling
     domain participates too); {!parallel_map} fans an array of independent
     tasks out over them and returns the results {e in input order}, so
     callers can merge deterministically regardless of which domain computed
     what.  With [jobs = 1] (the default) no domain is ever spawned and every
-    operation degrades to the plain sequential loop — the hot paths of the
-    engine are byte-for-byte unaffected.
+    operation degrades to the plain sequential loop.
 
     Determinism contract: [parallel_map pool f xs] returns exactly
     [Array.map f xs] whenever each [f xs.(i)] is a pure function of its
@@ -19,7 +19,7 @@
     busy pool (or any concurrent second caller) gets the sequential
     fallback instead of deadlocking.  This is what keeps nested
     parallelism — e.g. the workload driver answering queries in parallel
-    while each answer internally evaluates unions — safe by construction:
+    while each answer's cover search primes costs — safe by construction:
     the outermost fan-out wins, inner levels run inline. *)
 
 type t
@@ -70,7 +70,7 @@ val parallel_fold :
 
 (** {1 Process-global pool}
 
-    The engine, the cover-search algorithms and the CLI all share one
+    The cover-search algorithms, the bench harness and the CLI share one
     process-global pool sized by [--jobs] / the [RDFQA_JOBS] environment
     variable (default 1).  The pool is created lazily on first use and
     recreated when the requested width changes. *)

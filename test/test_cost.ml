@@ -308,49 +308,12 @@ let test_cb009 () =
   Alcotest.(check bool) "refused, zero interval" true
     (e.CV.refused && e.CV.ops.CV.hi = 0)
 
-let profile = Engine.Profile.postgres_like
-
-let test_cb005 () =
-  let broken ~n ~morsel =
-    let r = Engine.Par_verify.default_ranges ~n ~morsel in
-    Array.sub r 0 (max 0 (Array.length r - 1))
-  in
-  let ds = Engine.Par_verify.lint ~ranges:broken ~context:"m" ~profile () in
-  Alcotest.(check bool) "CB005 error fires" true (has_code ~severity:D.Error "CB005" ds)
-
-let test_cb006 () =
-  let broken ~width:_ ~parts _ _ = parts in
-  let ds = Engine.Par_verify.lint ~partition:broken ~context:"m" ~profile () in
-  Alcotest.(check bool) "CB006 error fires" true (has_code ~severity:D.Error "CB006" ds)
-
-let test_cb007 () =
-  let broken _pool ~morsel:_ rel =
-    let d = Engine.Relation.dedup rel in
-    let r = Engine.Relation.create ~cols:3 in
-    List.iter (Engine.Relation.append r)
-      (List.rev (Engine.Relation.to_list d));
-    r
-  in
-  let ds = Engine.Par_verify.lint ~dedup:broken ~context:"m" ~profile () in
-  Alcotest.(check bool) "CB007 error fires" true (has_code ~severity:D.Error "CB007" ds)
-
-let test_cb008 () =
-  let broken ~n ~morsel = Engine.Par_verify.default_log_count ~n ~morsel + 1 in
-  let ds = Engine.Par_verify.lint ~log_count:broken ~context:"m" ~profile () in
-  Alcotest.(check bool) "CB008 error fires" true (has_code ~severity:D.Error "CB008" ds)
-
-let test_defaults_clean () =
-  let ds = Engine.Par_verify.lint ~context:"m" ~profile ~width:4 () in
-  Alcotest.(check (list string)) "real implementations lint clean" []
-    (List.map D.to_string ds)
-
 let test_catalog_documents_all_emitted_codes () =
   List.iter
     (fun code ->
       Alcotest.(check bool) (code ^ " in catalog") true
         (D.describe code <> None))
-    [ "CB001"; "CB002"; "CB003"; "CB004"; "CB005"; "CB006"; "CB007";
-      "CB008"; "CB009" ]
+    [ "CB001"; "CB002"; "CB003"; "CB004"; "CB009" ]
 
 (* ---- qcheck: random CQs/UCQs through lint + analyzer ---- *)
 
@@ -482,12 +445,7 @@ let () =
           Alcotest.test_case "CB002 provably safe" `Quick test_cb002;
           Alcotest.test_case "CB003 materialization floor" `Quick test_cb003;
           Alcotest.test_case "CB004 straddling interval" `Quick test_cb004;
-          Alcotest.test_case "CB005 broken ranges" `Quick test_cb005;
-          Alcotest.test_case "CB006 broken partition" `Quick test_cb006;
-          Alcotest.test_case "CB007 broken dedup order" `Quick test_cb007;
-          Alcotest.test_case "CB008 broken replay count" `Quick test_cb008;
           Alcotest.test_case "CB009 union capacity" `Quick test_cb009;
-          Alcotest.test_case "defaults lint clean" `Quick test_defaults_clean;
           Alcotest.test_case "catalog documents all CB codes" `Quick
             test_catalog_documents_all_emitted_codes;
         ] );

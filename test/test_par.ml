@@ -273,6 +273,159 @@ let test_traced_equals_untraced () =
   Alcotest.(check bool) "traced jobs=4 outcome unchanged" true
     (traced = untraced)
 
+(* ---- hash join across jobs counts ----
+
+   Join-heavy inputs driven straight through [Executor.hash_join]: output
+   schema and rows in order, charge totals, operator counters and budget
+   failure points must not depend on the jobs count. *)
+
+let tiny_store =
+  lazy
+    (Store.Encoded_store.of_graph
+       (Rdf.Graph.make (Rdf.Schema.of_constraints []) []))
+
+let rel_of_rows cols rows =
+  let r = Engine.Relation.create ~cols:(List.length cols) in
+  List.iter (fun row -> Engine.Relation.append r (Array.of_list row)) rows;
+  { Engine.Executor.columns = cols; rel = r }
+
+(* Everything observable about one join: output schema and rows in order,
+   the engine's charge total, and the operator counters — or the exact
+   failure with the charge total at the point it fired. *)
+let join_outcome ?profile a b =
+  let t = Engine.Executor.create ?profile (Lazy.force tiny_store) in
+  let s = Obs.Op_stats.make Obs.Op_stats.Hash_join in
+  match Engine.Executor.hash_join ~stats:s t a b with
+  | r ->
+      Ok
+        ( r.Engine.Executor.columns,
+          Engine.Relation.to_list r.Engine.Executor.rel,
+          Engine.Executor.total_operations t,
+          ( s.Obs.Op_stats.rows_in,
+            s.Obs.Op_stats.rows_out,
+            s.Obs.Op_stats.index_probes,
+            s.Obs.Op_stats.hash_inserts,
+            s.Obs.Op_stats.hash_collisions,
+            s.Obs.Op_stats.work_units ) )
+  | exception Engine.Profile.Engine_failure { engine; reason } ->
+      Error (engine, reason, Engine.Executor.total_operations t)
+
+let check_join_matches_sequential ~msg ?profile a b =
+  let baseline = with_jobs 1 (fun () -> join_outcome ?profile a b) in
+  List.iter
+    (fun j ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: jobs=%d matches jobs=1" msg j)
+        true
+        (with_jobs j (fun () -> join_outcome ?profile a b) = baseline))
+    (List.tl jobs_levels)
+
+(* Keys 0..9, several matches per key. *)
+let join_a =
+  rel_of_rows [ "k"; "a" ] (List.init 60 (fun i -> [ i mod 10; i ]))
+
+let join_b =
+  rel_of_rows [ "b"; "k" ] (List.init 24 (fun i -> [ 100 + i; i mod 12 ]))
+
+let test_join_differential () =
+  check_join_matches_sequential ~msg:"join 60x24" join_a join_b;
+  (* degenerate shapes: empty build, empty probe *)
+  let empty = rel_of_rows [ "k"; "z" ] [] in
+  check_join_matches_sequential ~msg:"empty probe side" empty join_b;
+  check_join_matches_sequential ~msg:"empty build side" join_a empty
+
+(* A budget that trips mid-join must trip at the identical operation —
+   same reason, same lifetime total — at every jobs count. *)
+let test_join_budget_failure () =
+  let profile =
+    {
+      Engine.Profile.postgres_like with
+      Engine.Profile.name = "tiny-join-budget";
+      max_operations = 150;
+    }
+  in
+  (* build (24) fits; the probe's 60 row charges + ~144 emit charges
+     overrun mid-probe *)
+  check_join_matches_sequential ~msg:"budget mid-join" ~profile join_a join_b;
+  let r = with_jobs 4 (fun () -> join_outcome ~profile join_a join_b) in
+  Alcotest.(check bool) "budget actually trips" true
+    (match r with
+    | Error (_, Engine.Profile.Operation_budget _, _) -> true
+    | _ -> false)
+
+let gen_rows ncols =
+  QCheck2.Gen.(list_size (int_bound 40) (list_repeat ncols (int_bound 5)))
+
+let gen_join_inputs =
+  QCheck2.Gen.(
+    let* nkeys = int_range 1 2 in
+    let* extra_a = int_bound 2 and* extra_b = int_bound 2 in
+    let keys = List.init nkeys (Printf.sprintf "k%d") in
+    (* keys lead in [a] but trail in [b], exercising key positions *)
+    let cols_a = keys @ List.init extra_a (Printf.sprintf "a%d") in
+    let cols_b = List.init extra_b (Printf.sprintf "b%d") @ keys in
+    let* rows_a = gen_rows (List.length cols_a)
+    and* rows_b = gen_rows (List.length cols_b) in
+    return ((cols_a, rows_a), (cols_b, rows_b)))
+
+let prop_join_identical =
+  QCheck2.Test.make ~count:30
+    ~name:"random hash joins match jobs=1"
+    gen_join_inputs
+    (fun ((cols_a, rows_a), (cols_b, rows_b)) ->
+      let a = rel_of_rows cols_a rows_a and b = rel_of_rows cols_b rows_b in
+      let baseline = with_jobs 1 (fun () -> join_outcome a b) in
+      List.for_all
+        (fun j -> with_jobs j (fun () -> join_outcome a b) = baseline)
+        (List.tl jobs_levels))
+
+(* ---- traced op-stats totals across jobs counts ---- *)
+
+(* Every per-node total of the EXPLAIN ANALYZE tree. *)
+let op_totals root =
+  List.rev
+    (Obs.Op_stats.fold
+       (fun acc ~path n ->
+         ( path,
+           Obs.Op_stats.kind_name n.Obs.Op_stats.kind,
+           n.Obs.Op_stats.label,
+           n.Obs.Op_stats.rows_in,
+           n.Obs.Op_stats.rows_out,
+           n.Obs.Op_stats.index_probes,
+           n.Obs.Op_stats.hash_inserts,
+           n.Obs.Op_stats.hash_collisions,
+           n.Obs.Op_stats.work_units )
+         :: acc)
+       [] root)
+
+let test_traced_op_totals_equal () =
+  let store = Store.Encoded_store.of_graph graph in
+  let reformulator = Reformulation.Reformulate.create schema in
+  let run j =
+    with_jobs j (fun () ->
+        Obs.reset ();
+        Obs.set_enabled true;
+        Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+            let sys =
+              Rqa.Answering.make ~profile:Engine.Profile.postgres_like
+                ~reformulator store
+            in
+            ignore (Rqa.Answering.answer sys Rqa.Answering.Scq q3);
+            match
+              Engine.Executor.last_op_stats (Rqa.Answering.engine sys)
+            with
+            | Some root -> op_totals root
+            | None -> []))
+  in
+  (* discarded warm-up: the first query over a store encodes constants into
+     the shared dictionary, shifting later plan statistics *)
+  ignore (run 1);
+  let seq = run 1 and par = run 4 in
+  Alcotest.(check bool) "trace tree non-empty" true (seq <> []);
+  Alcotest.(check bool) "a hash join was traced" true
+    (List.exists (fun (_, k, _, _, _, _, _, _, _) -> k = "hash_join") seq);
+  Alcotest.(check bool) "jobs=4 op totals = jobs=1" true (par = seq)
+
 (* ---- qcheck: random BGPs across jobs counts ---- *)
 
 let gen_node =
@@ -349,7 +502,7 @@ let prop_parallel_answers_identical =
 let qcheck_cases =
   List.map
     (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_parallel_answers_identical ]
+    [ prop_parallel_answers_identical; prop_join_identical ]
 
 let () =
   Alcotest.run "par"
@@ -377,6 +530,18 @@ let () =
             test_budget_failure_differential;
           Alcotest.test_case "traced = untraced" `Quick
             test_traced_equals_untraced;
+        ] );
+      ( "hash_join",
+        [
+          Alcotest.test_case "differential across jobs" `Quick
+            test_join_differential;
+          Alcotest.test_case "budget failure mid-join" `Quick
+            test_join_budget_failure;
+        ] );
+      ( "op_stats",
+        [
+          Alcotest.test_case "traced totals jobs=1 = jobs=4" `Quick
+            test_traced_op_totals_equal;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -206,7 +206,7 @@ let check_line ~first line =
   if first && ty <> "meta" then raise (Bad "first line must be a meta line");
   (match ty with
   | "meta" ->
-      if int_ fields "schema" <> 1 then raise (Bad "unknown schema version");
+      if int_ fields "schema" <> 2 then raise (Bad "unknown schema version");
       ignore (str fields "generator");
       (* The parallelism width the trace was produced under; traces must
          stay schema-valid at every jobs count.  [effective_jobs] is the
@@ -244,12 +244,8 @@ let check_line ~first line =
         (fun k -> ignore (nonneg_int fields k))
         [
           "rows_in"; "rows_out"; "index_probes"; "hash_inserts";
-          "hash_collisions"; "work_units"; "morsels";
+          "hash_collisions"; "work_units";
         ];
-      (* skew is a load-balance ratio >= 1, or the -1 sentinel for
-         operators that ran sequentially (or produced no rows) *)
-      let skew = num fields "skew" in
-      if skew <> -1.0 && skew < 1.0 then raise (Bad "skew below 1");
       ignore (num fields "est_rows")
   | "counter" ->
       ignore (str fields "name");
