@@ -229,8 +229,12 @@ type report = {
    not comparable with the benchmark driver's [Unix.gettimeofday] spans. *)
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
-let run_cover s strategy q cover ~covers_explored ~planning_start =
-  let obj_free_reformulate cq = Cache.reformulate s.cache cq in
+(* [reformulate] builds the executed JUCQ: the cover search's memoized
+   reformulator for ECov/GCov ([Objective.reformulate], so the chosen
+   cover's fragments are not reformulated twice), the tier-1 cache
+   otherwise.  The JUCQ follows [cover]'s own fragment order. *)
+let run_cover s strategy q cover ~reformulate ~covers_explored
+    ~planning_start =
   let profile = Engine.Executor.profile s.engine in
   let refuse terms =
     (* The statement is refused before execution, like an RDBMS rejecting
@@ -255,7 +259,7 @@ let run_cover s strategy q cover ~covers_explored ~planning_start =
   let jucq =
     Obs.Span.with_ "plan.jucq" @@ fun sp ->
     let jucq =
-      try Jucq.make ~reformulate:obj_free_reformulate q cover
+      try Jucq.make ~reformulate q cover
       with Reformulation.Reformulate.Too_large { bound; _ } -> refuse bound
     in
     Obs.Span.set sp "fragments"
@@ -328,21 +332,27 @@ let answer_uncached s strategy q =
       }
   | Ucq ->
       let planning_start = now_ms () in
-      run_cover s strategy q (Jucq.ucq_cover q) ~covers_explored:0
-        ~planning_start
+      run_cover s strategy q (Jucq.ucq_cover q)
+        ~reformulate:(Cache.reformulate s.cache)
+        ~covers_explored:0 ~planning_start
   | Scq ->
       let planning_start = now_ms () in
-      run_cover s strategy q (Jucq.scq_cover q) ~covers_explored:0
-        ~planning_start
+      run_cover s strategy q (Jucq.scq_cover q)
+        ~reformulate:(Cache.reformulate s.cache)
+        ~covers_explored:0 ~planning_start
   | Ecov budget ->
       let planning_start = now_ms () in
-      let result = Ecov.search ~budget (objective s q) in
+      let obj = objective s q in
+      let result = Ecov.search ~budget obj in
       run_cover s strategy q result.Ecov.cover
+        ~reformulate:(Objective.reformulate obj)
         ~covers_explored:result.Ecov.explored ~planning_start
   | Gcov ->
       let planning_start = now_ms () in
-      let result = Gcov.search (objective s q) in
+      let obj = objective s q in
+      let result = Gcov.search obj in
       run_cover s strategy q result.Gcov.cover
+        ~reformulate:(Objective.reformulate obj)
         ~covers_explored:result.Gcov.explored ~planning_start
 
 (* Process-level query metrics (lib/metrics): end-to-end latency of every

@@ -10,9 +10,30 @@ type coefficients = {
   memory_rows : float;
 }
 
+(* A UCQ's figures, keyed by physical identity: the objective's fragment
+   memo hands every cover holding a fragment the same physical UCQ, so
+   identity finds them without hashing the union's contents.  Ephemeron
+   keys let a UCQ nobody else holds (cache off, search over) be
+   collected with its entry. *)
+module Ucq_key = struct
+  type t = Ucq.t
+
+  let equal = ( == )
+  let hash u = Hashtbl.hash_param 16 64 u
+end
+
+module Figures_tbl = Ephemeron.K1.Make (Ucq_key)
+
+type figures = { volume : float; estimate : float }
+
 type t = {
   stats : Store.Statistics.t;
   coeff : coefficients;
+  (* per-UCQ figures, valid for the store data version [fig_version];
+     shared by every domain pricing covers with this model *)
+  figures : figures Figures_tbl.t;
+  fig_lock : Mutex.t;
+  mutable fig_version : int;
 }
 
 let coefficients_of_profile (p : Engine.Profile.t) =
@@ -26,13 +47,22 @@ let coefficients_of_profile (p : Engine.Profile.t) =
     memory_rows = 1_000_000.0;
   }
 
+let data_version stats =
+  Store.Encoded_store.data_version (Store.Statistics.store stats)
+
 let create ?coefficients stats =
   let coeff =
     match coefficients with
     | Some c -> c
     | None -> coefficients_of_profile Engine.Profile.postgres_like
   in
-  { stats; coeff }
+  {
+    stats;
+    coeff;
+    figures = Figures_tbl.create 64;
+    fig_lock = Mutex.create ();
+    fig_version = data_version stats;
+  }
 
 let coefficients t = t.coeff
 
@@ -115,14 +145,41 @@ let cq_scan_volume t (cq : Bgp.t) =
     (fun acc a -> acc +. float_of_int (Store.Statistics.atom_count t.stats a))
     0.0 cq.body
 
-(* No memoization: each per-triple count is an O(1) index lookup, so the
-   fold is linear in the union size — cheaper than any content-based cache
-   key for the 10^5-term unions this gets called on. *)
+(* Linear in the union size (one O(1) index lookup per atom).  The cost
+   functions below read it through [figures], which computes it once per
+   physical UCQ and data version. *)
 let scan_volume t u =
   List.fold_left (fun acc cq -> acc +. cq_scan_volume t cq) 0.0
     (Ucq.disjuncts u)
 
 let ucq_result_estimate t u = Store.Statistics.ucq_cardinality t.stats u
+
+(* A UCQ's scan volume and result estimate, computed once per physical UCQ
+   while the store's data version holds: both are pure functions of the
+   union and the data, so every cover holding the fragment reads the same
+   floats it would have computed.  Probe and insert under the lock,
+   compute outside it; the first insert wins. *)
+let figures t u =
+  let dv = data_version t.stats in
+  let probe () =
+    if t.fig_version <> dv then begin
+      Figures_tbl.reset t.figures;
+      t.fig_version <- dv
+    end;
+    Figures_tbl.find_opt t.figures u
+  in
+  match Mutex.protect t.fig_lock probe with
+  | Some f -> f
+  | None -> (
+      let f =
+        { volume = scan_volume t u; estimate = ucq_result_estimate t u }
+      in
+      Mutex.protect t.fig_lock @@ fun () ->
+      match probe () with
+      | Some f -> f
+      | None ->
+          Figures_tbl.add t.figures u f;
+          f)
 
 let unique_cost t rows =
   if rows <= 0.0 then 0.0
@@ -147,10 +204,9 @@ let final_result_estimate t (j : Jucq.t) =
   | _ -> Store.Statistics.cq_cardinality t.stats (Bgp.make head_vars atoms)
 
 let jucq_cost t (j : Jucq.t) =
-  let volumes = List.map (fun (_, u) -> scan_volume t u) j.Jucq.fragments in
-  let result_estimates =
-    List.map (fun (_, u) -> ucq_result_estimate t u) j.Jucq.fragments
-  in
+  let figs = List.map (fun (_, u) -> figures t u) j.Jucq.fragments in
+  let volumes = List.map (fun f -> f.volume) figs in
+  let result_estimates = List.map (fun f -> f.estimate) figs in
   let eval_cost =
     List.fold_left (fun acc v -> acc +. ((t.coeff.c_t +. t.coeff.c_j) *. v))
       0.0 volumes
@@ -187,7 +243,7 @@ let jucq_cost t (j : Jucq.t) =
   +. final_dedup
 
 let ucq_cost t u =
-  let v = scan_volume t u in
+  let f = figures t u in
   t.coeff.c_db
-  +. ((t.coeff.c_t +. t.coeff.c_j) *. v)
-  +. unique_cost t (ucq_result_estimate t u)
+  +. ((t.coeff.c_t +. t.coeff.c_j) *. f.volume)
+  +. unique_cost t f.estimate

@@ -68,8 +68,14 @@ val unique_cost : t -> float -> float
 (** [c_unique] applied to an estimated result cardinality. *)
 
 val jucq_cost : t -> Query.Jucq.t -> float
-(** The full formula above for a cover-based JUCQ reformulation. *)
+(** The full formula above for a cover-based JUCQ reformulation.  Each
+    fragment UCQ's {!scan_volume} and {!ucq_result_estimate} are computed
+    once per physical UCQ and reused until the store's data version moves
+    (an ephemeron table, so unreferenced UCQs are not kept alive; safe to
+    share across domains).  The summation order is fixed, so a memoized
+    price is bit-identical to a fresh one. *)
 
 val ucq_cost : t -> Query.Ucq.t -> float
 (** Cost of the plain single-fragment UCQ evaluation (the [m = 1] case:
-    no fragment join, no materialization). *)
+    no fragment join, no materialization).  Reads the same per-UCQ
+    figures as {!jucq_cost}. *)

@@ -47,13 +47,14 @@ let minimal (c : Jucq.cover) =
 let enumerate ?(budget = default_budget) (q : Bgp.t) =
   let n = List.length q.body in
   let fragments = Array.of_list (connected_fragments q) in
-  let start = Sys.time () in
+  let start = Unix.gettimeofday () in
   let out = ref [] in
   let seen = Hashtbl.create 1024 in
   let count = ref 0 in
   let truncated = ref false
+  (* wall-clock, as documented: CPU time would sum every domain's work *)
   and deadline_hit () =
-    (Sys.time () -. start) *. 1000.0 > budget.max_millis
+    (Unix.gettimeofday () -. start) *. 1000.0 > budget.max_millis
   in
   let exception Stop in
   let covered = Array.make n false in

@@ -12,7 +12,7 @@ type result = {
   cost : float;              (** its estimated cost *)
   explored : int;            (** covers whose cost was estimated *)
   complete : bool;           (** false when the enumeration budget tripped *)
-  elapsed_ms : float;        (** algorithm running time *)
+  elapsed_ms : float;        (** wall-clock running time *)
 }
 
 val search : ?budget:Cover_space.budget -> Objective.t -> result

@@ -22,7 +22,7 @@ type result = {
   cost : float;              (** its estimated cost *)
   explored : int;            (** covers whose cost was estimated *)
   moves_applied : int;       (** moves popped from the queue *)
-  elapsed_ms : float;        (** algorithm running time *)
+  elapsed_ms : float;        (** wall-clock running time *)
 }
 
 type move_ordering =
@@ -36,7 +36,8 @@ type stop_condition =
       (** stop once the best cost has dropped below [ratio × cost(C0)] —
           the "diminished by a certain ratio" policy of Section 4.3 *)
   | Timeout_ms of float
-      (** stop after the given search time — the anytime policy *)
+      (** stop after the given wall-clock search time — the anytime
+          policy *)
 
 val search :
   ?max_moves:int ->

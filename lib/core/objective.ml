@@ -3,6 +3,7 @@ open Query
 type t = {
   query : Bgp.t;
   fragment_capacity : Bgp.t -> bool;
+  (* the supplied reformulator behind a per-search fragment memo *)
   reformulate : Bgp.t -> Ucq.t;
   jucq_cost : Jucq.t -> float;
   ucq_cost : Ucq.t -> float;
@@ -20,12 +21,43 @@ type t = {
   mutable explored : int;
 }
 
+(* A fragment's reformulation does not depend on the cover holding it, and
+   GCov's neighboring covers share all fragments but one: one memo per
+   search makes each distinct cover query pay its reformulation once.  The
+   key is the CQ itself, compared structurally: [Bgp.to_string] does not
+   escape literals, so two different CQs can print alike.  [prime]
+   reformulates on pool domains, so probes and inserts are locked while
+   the reformulation runs outside the lock; the first insert wins, and
+   every caller gets the winner's physical UCQ.  [Too_large] is memoized
+   too: the fragment stays unconstructible for the whole search. *)
+let memoize_reformulate reformulate =
+  let memo : (Bgp.t, (Ucq.t, exn) result) Hashtbl.t = Hashtbl.create 32 in
+  let lock = Mutex.create () in
+  fun cq ->
+    let r =
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt memo cq) with
+      | Some r -> r
+      | None -> (
+          let r =
+            match reformulate cq with
+            | u -> Ok u
+            | exception (Reformulation.Reformulate.Too_large _ as e) -> Error e
+          in
+          Mutex.protect lock @@ fun () ->
+          match Hashtbl.find_opt memo cq with
+          | Some r -> r
+          | None ->
+              Hashtbl.add memo cq r;
+              r)
+    in
+    match r with Ok u -> u | Error e -> raise e
+
 let create ?(fragment_capacity = fun _ -> true) ?shared ~reformulate
     ~jucq_cost ~ucq_cost query =
   {
     query;
     fragment_capacity;
-    reformulate;
+    reformulate = memoize_reformulate reformulate;
     jucq_cost;
     ucq_cost;
     jucq_cache = Hashtbl.create 64;
@@ -36,6 +68,7 @@ let create ?(fragment_capacity = fun _ -> true) ?shared ~reformulate
   }
 
 let query t = t.query
+let reformulate t = t.reformulate
 
 let cover_key (c : Jucq.cover) =
   let frag f = String.concat "," (List.map string_of_int f) in

@@ -29,13 +29,36 @@ val create :
     repeated searches of one query skip cover pricing entirely.
     {!explored} still counts distinct covers priced {e by this objective}
     — shared hits included — keeping the search statistic identical
-    between cold and warm runs. *)
+    between cold and warm runs.
+
+    [reformulate] is wrapped in a per-search fragment memo keyed by the
+    cover query itself (structural equality): a fragment's reformulation
+    does not depend on the cover holding it, so each distinct cover query
+    reaches [reformulate] at most once per objective at jobs 1, however
+    many covers share it.  Under {!prime} on several domains, two domains
+    may race on one cover query; the first insert wins and every caller
+    gets that one physical UCQ.  [Reformulate.Too_large] is memoized like
+    a result. *)
 
 val query : t -> Query.Bgp.t
 (** The query under optimization. *)
 
+val reformulate : t -> Query.Bgp.t -> Query.Ucq.t
+(** The memoized reformulator: the UCQ this search priced for a cover
+    query, physically.  Building the chosen cover's JUCQ through it
+    ([Jucq.make ~reformulate:(reformulate t)]) reuses the search's
+    reformulations, keeps the cover's own fragment order, and hands the
+    cost model UCQs whose figures it has already computed. *)
+
 val jucq_of : t -> Query.Jucq.cover -> Query.Jucq.t
-(** The cover-based JUCQ reformulation of a cover (Theorem 3.1), memoized. *)
+(** The cover-based JUCQ reformulation of a cover (Theorem 3.1), memoized.
+    The memo is keyed by the {e sorted} cover, so two covers listing the
+    same fragments in different orders share one entry, whose fragments
+    come in the order of whichever was seen first ({!cover_cost} shares
+    that key).  Do not execute the result for a cover listed in another
+    order: the plan verifier rejects a JUCQ whose fragments do not follow
+    its cover, and the fragment order drives the join order.  Build the
+    executed JUCQ with [Jucq.make ~reformulate:(reformulate t)] instead. *)
 
 val cover_cost : t -> Query.Jucq.cover -> float
 (** Estimated cost of a cover's reformulation, memoized.  Each distinct

@@ -259,6 +259,113 @@ let test_objective_memoizes () =
   Alcotest.(check (float 0.0)) "same cost" c1 c2;
   Alcotest.(check int) "explored once" n1 (Rqa.Objective.explored obj)
 
+(* LUBM-8 (the benchmark's dataset), cache off: every reformulation
+   reaches the reformulator, so what the search asks of it is
+   observable. *)
+let lubm_store =
+  lazy (Workloads.Lubm.generate { Workloads.Lubm.universities = 8 })
+
+let lubm_system () =
+  let store = Lazy.force lubm_store in
+  let cache = Cache.create ~mode:Cache.Off store in
+  Rqa.Answering.make ~cache store
+
+(* The index set of a fragment cover query's body within [q]'s body: turns
+   a priced JUCQ back into the cover it was built for. *)
+let cover_of_jucq (q : Bgp.t) (j : Jucq.t) =
+  List.map
+    (fun ((cq : Bgp.t), _) ->
+      List.concat
+        (List.mapi
+           (fun i a ->
+             if List.exists (Bgp.atom_equal a) cq.Bgp.body then [ i ] else [])
+           q.Bgp.body))
+    j.Jucq.fragments
+
+(* GCov on a LUBM query through an objective whose reformulator and
+   JUCQ pricer record what reaches them.  Returns the search result, the
+   objective, the cover queries handed to the reformulator (in call
+   order) and the JUCQs priced. *)
+let instrumented_gcov sys q =
+  let cache = Rqa.Answering.cache sys and cm = Rqa.Answering.cost_model sys in
+  let calls = ref [] and priced = ref [] in
+  let reformulate cq =
+    calls := cq :: !calls;
+    Cache.reformulate cache cq
+  in
+  let jucq_cost j =
+    priced := j :: !priced;
+    Rqa.Cost_model.jucq_cost cm j
+  in
+  let refm = Rqa.Answering.reformulator sys in
+  let capacity =
+    (Engine.Executor.profile (Rqa.Answering.engine sys))
+      .Engine.Profile.max_union_terms
+  in
+  let fragment_capacity cq =
+    Reformulation.Reformulate.count_product_bound refm cq <= capacity
+  in
+  let obj =
+    Rqa.Objective.create ~fragment_capacity ~reformulate ~jucq_cost
+      ~ucq_cost:(Rqa.Cost_model.ucq_cost cm) q
+  in
+  let r = Rqa.Gcov.search obj in
+  (r, obj, List.rev !calls, List.rev !priced)
+
+let memo_queries = [ "Q24"; "Q27"; "Q28" ]
+
+let test_fragment_reformulated_once () =
+  let sys = lubm_system () in
+  List.iter
+    (fun name ->
+      let q = Bgp.normalize (Workloads.Lubm.query name) in
+      let _, _, calls, _ = instrumented_gcov sys q in
+      let distinct = List.sort_uniq compare calls in
+      Alcotest.(check int)
+        (name ^ ": each cover query reformulated once")
+        (List.length distinct) (List.length calls);
+      (* without the memo GCov made 233 reformulation calls here *)
+      if name = "Q28" then
+        Alcotest.(check int) "Q28: 17 distinct cover queries" 17
+          (List.length calls))
+    memo_queries
+
+(* Memoized reformulations and figures must price every explored cover
+   exactly as an unmemoized pipeline does: a fresh cost model (empty
+   figures table) over a JUCQ whose fragments are reformulated anew. *)
+let test_memoized_costs_bit_identical () =
+  let sys = lubm_system () in
+  let cm = Rqa.Answering.cost_model sys in
+  let fresh_model () =
+    Rqa.Cost_model.create
+      ~coefficients:(Rqa.Cost_model.coefficients cm)
+      (Engine.Executor.statistics (Rqa.Answering.engine sys))
+  in
+  let raw cq = Cache.reformulate (Rqa.Answering.cache sys) cq in
+  List.iter
+    (fun name ->
+      let q = Bgp.normalize (Workloads.Lubm.query name) in
+      let r, obj, _, priced = instrumented_gcov sys q in
+      Alcotest.(check bool) (name ^ ": covers priced") true (priced <> []);
+      Alcotest.(check bool)
+        (name ^ ": at most one pricing per explored cover")
+        true
+        (List.length priced <= r.Rqa.Gcov.explored);
+      List.iter
+        (fun j ->
+          let cover = cover_of_jucq q j in
+          let expected =
+            Rqa.Cost_model.jucq_cost (fresh_model ())
+              (Jucq.make ~reformulate:raw q cover)
+          in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s %s: bit-identical cost" name
+               (Jucq.cover_to_string cover))
+            (Int64.bits_of_float expected)
+            (Int64.bits_of_float (Rqa.Objective.cover_cost obj cover)))
+        priced)
+    memo_queries
+
 (* ---- ECov ---- *)
 
 let test_ecov_explores_all () =
@@ -522,7 +629,13 @@ let () =
           Alcotest.test_case "calibration" `Quick test_calibration_runs;
         ] );
       ( "objective",
-        [ Alcotest.test_case "memoization" `Quick test_objective_memoizes ] );
+        [
+          Alcotest.test_case "memoization" `Quick test_objective_memoizes;
+          Alcotest.test_case "fragment reformulated once" `Quick
+            test_fragment_reformulated_once;
+          Alcotest.test_case "memoized costs bit-identical" `Quick
+            test_memoized_costs_bit_identical;
+        ] );
       ( "ecov",
         [
           Alcotest.test_case "explores all covers" `Quick test_ecov_explores_all;

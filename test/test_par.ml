@@ -230,6 +230,34 @@ let test_lubm_differential () =
             Engine.Profile.all))
     queries
 
+(* One system, hence one cost model, for every search: at jobs=4 its
+   per-UCQ figures table and each objective's fragment memo are filled
+   from pool domains concurrently.  Chosen cover, cost bits and
+   exploration count must match jobs=1, whichever width runs first. *)
+let test_shared_cost_model_gcov () =
+  let store = Lazy.force lubm_store in
+  let reformulator = Reformulation.Reformulate.create Workloads.Lubm.schema in
+  let cache = Cache.create ~mode:Cache.Off ~reformulator store in
+  let sys = Rqa.Answering.make ~cache store in
+  List.iter
+    (fun name ->
+      let q = Bgp.normalize (List.assoc name Workloads.Lubm.queries) in
+      let search j =
+        with_jobs j (fun () ->
+            let r = Rqa.Gcov.search (Rqa.Answering.objective sys q) in
+            ( r.Rqa.Gcov.cover,
+              Int64.bits_of_float r.Rqa.Gcov.cost,
+              r.Rqa.Gcov.explored ))
+      in
+      let at4 = search 4 in
+      let at1 = search 1 in
+      let at4' = search 4 in
+      Alcotest.(check bool) (name ^ ": jobs=4 first = jobs=1") true (at4 = at1);
+      Alcotest.(check bool)
+        (name ^ ": jobs=4 again = jobs=1")
+        true (at4' = at1))
+    [ "Q02"; "Q24"; "Q27"; "Q28" ]
+
 (* Budget failures must fire at the identical charge with identical
    lifetime totals: the record-and-replay path may truncate worker logs
    only where replay is guaranteed to fail at the same call. *)
@@ -526,6 +554,8 @@ let () =
             test_profiles_strategies_differential;
           Alcotest.test_case "LUBM workload queries" `Slow
             test_lubm_differential;
+          Alcotest.test_case "shared cost model, GCov covers" `Quick
+            test_shared_cost_model_gcov;
           Alcotest.test_case "budget failure point" `Quick
             test_budget_failure_differential;
           Alcotest.test_case "traced = untraced" `Quick
