@@ -1337,7 +1337,7 @@ let serve_cmd =
       & info [ "w"; "workload" ] ~docv:"WORKLOAD"
           ~doc:
             "Workload whose schema and evaluation queries warm the server \
-             (constants pre-interned, tier-1 reformulations filled).")
+             (schema vocabulary and query constants pre-interned).")
   in
   let data =
     Arg.(

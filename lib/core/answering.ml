@@ -138,8 +138,9 @@ let enable_views s =
       v
 
 (* Interns every constant compilation could encode on demand for the given
-   workload: the queries' own constants, the schema vocabulary the
-   reformulator can splice into disjunct bodies/heads, and [rdf:type].
+   workload: [rdf:type], the schema vocabulary and the queries' own
+   constants.  Reformulation only splices schema classes and properties
+   into disjunct bodies/heads, so no reformulation needs to be built here.
    Interning is idempotent and answer-neutral (see
    [Executor.intern_constants]); after a warm-up, repeated-query operation
    totals over the shared store are stable from the first request. *)
@@ -152,16 +153,7 @@ let warm_up s queries =
   Rdf.Term.Set.iter intern_term (Rdf.Schema.classes schema);
   Rdf.Term.Set.iter intern_term (Rdf.Schema.properties schema);
   List.iter
-    (fun q ->
-      let q = Bgp.normalize q in
-      Engine.Executor.intern_constants s.engine q;
-      (* Also warms cache tier 1 for the query's whole-body fragment. *)
-      match Cache.reformulate s.cache q with
-      | ucq ->
-          List.iter
-            (Engine.Executor.intern_constants s.engine)
-            (Ucq.disjuncts ucq)
-      | exception Reformulation.Reformulate.Too_large _ -> ())
+    (fun q -> Engine.Executor.intern_constants s.engine (Bgp.normalize q))
     queries
 
 let disable_views s = s.views <- None

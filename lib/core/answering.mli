@@ -85,13 +85,12 @@ val disable_views : system -> unit
 
 val warm_up : system -> Query.Bgp.t list -> unit
 (** Pre-interns everything compilation could dictionary-encode on demand
-    for a workload: each query's constants, every constant of its tier-1
-    reformulation (warming that cache tier as a side effect), the schema's
-    classes and properties, and [rdf:type].  Idempotent and
-    answer-neutral; afterwards repeated-query operation totals over the
-    shared store are stable from the first request (the ±2-op first-query
-    drift).  Queries whose reformulation exceeds the product bound are
-    warmed for their own constants only. *)
+    for a workload: [rdf:type], the schema's classes and properties, and
+    each query's constants.  Reformulation introduces no constant outside
+    that schema vocabulary, so no reformulation is built and no cache tier
+    is filled.  Idempotent and answer-neutral; afterwards repeated-query
+    operation totals over the shared store are stable from the first
+    request (the ±2-op first-query drift). *)
 
 val reformulator : system -> Reformulation.Reformulate.t
 (** The current schema generation's CQ→UCQ reformulation engine

@@ -1,12 +1,13 @@
 open Query
 module Es = Store.Encoded_store
 
-(* The plan cache (below) is keyed by the query's physical identity: a
+(* The plan caches (below) are keyed by the query's physical identity: a
    JUCQ/UCQ holds on to its disjunct [Bgp.t] values, so re-evaluating a
    prepared statement re-encounters the very same objects.  Equality is
    pointer equality; the hash is a deep-enough structural hash that
    same-shaped disjuncts (which share their first few words) spread over
-   the buckets. *)
+   the buckets.  Ephemeron keys let a statement no cache tier or caller
+   holds (cache off, request over) be collected with its plans. *)
 module Plan_key = struct
   type t = Bgp.t
 
@@ -14,7 +15,7 @@ module Plan_key = struct
   let hash q = Hashtbl.hash_param 64 256 q
 end
 
-module Plan_tbl = Hashtbl.Make (Plan_key)
+module Plan_tbl = Ephemeron.K1.Make (Plan_key)
 
 module Ucq_key = struct
   type t = Ucq.t
@@ -23,7 +24,7 @@ module Ucq_key = struct
   let hash u = Hashtbl.hash_param 16 64 u
 end
 
-module Ucq_tbl = Hashtbl.Make (Ucq_key)
+module Ucq_tbl = Ephemeron.K1.Make (Ucq_key)
 
 type slot = V of int | K of int
 
@@ -65,8 +66,6 @@ type t = {
          are pure reads of the store, so serializing them is safe and
          cheap (one lock per statement, not per row). *)
 }
-
-let plan_cache_limit = 65_536
 
 let create ?(profile = Profile.postgres_like) store =
   {
@@ -444,9 +443,10 @@ let exec_cq t ?counters ?charge:charge_sink (p : plan)
    statistics — neither phase calls [charge] — so memoizing them changes
    nothing about which statements fail or why.  The cache is keyed by the
    query's physical identity (a prepared UCQ/JUCQ re-presents the same
-   disjunct objects on every evaluation) and is dropped wholesale when the
-   store's data version moves, since statistics-driven atom orders may
-   shift; schema-only changes touch no facts and keep the plans valid. *)
+   disjunct objects on every evaluation), holds its keys weakly, and is
+   dropped wholesale when the store's data version moves, since
+   statistics-driven atom orders may shift; schema-only changes touch no
+   facts and keep the plans valid. *)
 let flush_stale_plans t =
   let v = Es.data_version t.store in
   if v <> t.plans_version then begin
@@ -479,7 +479,7 @@ let plan_of t (q : Bgp.t) =
   | Some p -> p
   | None ->
       let p = compile_plan t q in
-      if Plan_tbl.length t.plans < plan_cache_limit then Plan_tbl.add t.plans q p;
+      Plan_tbl.add t.plans q p;
       p
 
 (* UCQ-level plan memoization: one cache probe per fragment evaluation
@@ -493,8 +493,7 @@ let ucq_plans t (u : Ucq.t) =
       let ps =
         Array.of_list (List.map (compile_plan t) (Ucq.disjuncts u))
       in
-      if Ucq_tbl.length t.ucq_plans < plan_cache_limit then
-        Ucq_tbl.add t.ucq_plans u ps;
+      Ucq_tbl.add t.ucq_plans u ps;
       ps
 
 (* ---- static cost oracle ----

@@ -49,11 +49,11 @@ val strategy_of_string : string -> Rqa.Answering.strategy option
 type t
 
 val start : config -> Store.Encoded_store.t -> t
-(** Binds and listens, pre-interns [config.warm] plus the schema
-    vocabulary ({!Rqa.Answering.warm_up} — repeated-query operation totals
-    are stable from the first request), and spawns the accept loop on a
-    background thread.  Raises [Unix.Unix_error] when the address is
-    unavailable. *)
+(** Binds and listens, pre-interns the constants of [config.warm] plus the
+    schema vocabulary ({!Rqa.Answering.warm_up}, re-run inside each
+    schema-changing write; no reformulation is built), and spawns the
+    accept loop on a background thread.  Raises [Unix.Unix_error] when the
+    address is unavailable. *)
 
 val port : t -> int
 (** The bound port (the ephemeral one when [config.port = 0]). *)

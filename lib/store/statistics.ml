@@ -11,10 +11,17 @@ type global = {
   mutable computed : bool;
 }
 
+(* CQ estimates, keyed structurally by the canonical CQ. *)
+module Cq_tbl = Hashtbl.Make (struct
+  type t = Bgp.t
+  let equal a b = Bgp.raw_compare a b = 0
+  let hash q = Hashtbl.hash_param 64 256 q
+end)
+
 type t = {
   store : Encoded_store.t;
   ndv_cache : (int, int) Hashtbl.t;  (* 2*prop + (0=subj|1=obj) -> ndv *)
-  cq_cache : (string, float) Hashtbl.t;
+  cq_cache : float Cq_tbl.t;
   global : global;
   mutable seen_version : int;
   lock : Mutex.t;
@@ -41,7 +48,7 @@ let create store =
   {
     store;
     ndv_cache = Hashtbl.create 64;
-    cq_cache = Hashtbl.create 256;
+    cq_cache = Cq_tbl.create 256;
     lock = Mutex.create ();
     global =
       {
@@ -79,7 +86,7 @@ let apply_change t (c : Encoded_store.change) =
 
 let full_flush t =
   Hashtbl.reset t.ndv_cache;
-  Hashtbl.reset t.cq_cache;
+  Cq_tbl.reset t.cq_cache;
   Hashtbl.reset t.global.occ_s;
   Hashtbl.reset t.global.occ_p;
   Hashtbl.reset t.global.occ_o;
@@ -95,7 +102,7 @@ let refresh t =
     (match Encoded_store.changes_since t.store ~since:t.seen_version with
     | Some changes ->
         List.iter (apply_change t) changes;
-        Hashtbl.reset t.cq_cache
+        Cq_tbl.reset t.cq_cache
     | None -> full_flush t);
     t.seen_version <- v
   end
@@ -219,10 +226,10 @@ let position_ndv t (a : Bgp.atom) v =
     | None ->
         if var_at a.s then distinct_subjects t else distinct_objects t
 
-let cq_cardinality_unlocked t (q : Bgp.t) =
+(* [key] is [q]'s canonical form. *)
+let cq_cardinality_unlocked t ~key (q : Bgp.t) =
   refresh t;
-  let key = Bgp.to_string (Bgp.canonical q) in
-  match Hashtbl.find_opt t.cq_cache key with
+  match Cq_tbl.find_opt t.cq_cache key with
   | Some x -> x
   | None ->
       (* System-R style: multiply atom counts, discount each repeated
@@ -250,15 +257,17 @@ let cq_cardinality_unlocked t (q : Bgp.t) =
                   card (Bgp.atom_vars a))
           1.0 q.body
       in
-      Hashtbl.add t.cq_cache key card;
+      Cq_tbl.add t.cq_cache key card;
       card
 
-let cq_cardinality t q = locked t @@ fun () -> cq_cardinality_unlocked t q
+let cq_cardinality t q =
+  locked t @@ fun () -> cq_cardinality_unlocked t ~key:(Bgp.canonical q) q
 
+(* A UCQ's disjuncts are already canonical ([Ucq.of_cqs]). *)
 let ucq_cardinality t u =
   locked t @@ fun () ->
-  List.fold_left (fun acc cq -> acc +. cq_cardinality_unlocked t cq) 0.0
-    (Ucq.disjuncts u)
+  List.fold_left (fun acc cq -> acc +. cq_cardinality_unlocked t ~key:cq cq)
+    0.0 (Ucq.disjuncts u)
 
 let global_distinct t pos =
   locked t @@ fun () ->

@@ -4,8 +4,9 @@
 #
 #   1. every read's rows are bit-identical to a single-shot
 #      `rdfqa query` over the same store state (including states reached
-#      through interleaved INSERT/DELETE — the single-shot side replays
-#      the mutation with --insert);
+#      through interleaved INSERT/DELETE of facts and of a schema
+#      constraint — the single-shot side replays the mutation with
+#      --insert);
 #   2. a SIGTERM drain: the server exits 0 and its drain summary reports
 #      the process-global domain pool joined (no leaked domains);
 #   3. nothing in the mix is answered with ERR (the client exits 1 on any).
@@ -44,6 +45,15 @@ cat > "$WORK/extra.nt" <<'EOF'
 <http://serve.ci/student0> <http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf> <http://www.Department0.University0.edu> .
 <http://serve.ci/student1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://swat.cse.lehigh.edu/onto/univ-bench.owl#GraduateStudent> .
 <http://serve.ci/student1> <http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf> <http://www.Department0.University0.edu> .
+EOF
+
+# A schema write: a new subclass of ub:Person plus one member of it, so
+# the INSERT moves the schema version (the server re-interns the schema
+# vocabulary inside the write section) and Q06's answers.
+cat > "$WORK/schema.nt" <<'EOF'
+<http://serve.ci/Visitor> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Person> .
+<http://serve.ci/visitor0> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://serve.ci/Visitor> .
+<http://serve.ci/visitor0> <http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf> <http://www.Department0.University0.edu> .
 EOF
 
 "$RDFQA" serve -d "$WORK/lubm.nt" -w lubm -s gcov --jobs "$JOBS" \
@@ -122,15 +132,32 @@ client --query-strategy scq --workload-query $HOT > "$WORK/scq.rows" 2> /dev/nul
   --jobs "$JOBS" --limit 1000000 | grep -v '^--' > "$WORK/scq.want"
 check_identical "strategy override scq ($HOT)" "$WORK/scq.rows" "$WORK/scq.want"
 
-# --- phase 4: server-side stats sanity ---------------------------------------
-client STATS > "$WORK/stats.out" 2> /dev/null
-grep -q '^epoch=4$' "$WORK/stats.out" \
-  || { echo "serve_ci: FAIL — expected epoch=4 after 4 writes" >&2; cat "$WORK/stats.out" >&2; exit 1; }
-grep -q '^writes=4$' "$WORK/stats.out" \
-  || { echo "serve_ci: FAIL — expected writes=4" >&2; cat "$WORK/stats.out" >&2; exit 1; }
-echo "serve_ci: ok — server stats coherent (epoch=4, writes=4)"
+# --- phase 4: schema write -------------------------------------------------
+# INSERT a subclass constraint (plus facts using it), read, DELETE it,
+# read.  The post-insert reference replays the same triples single-shot.
+reference $MUT --insert "$WORK/schema.nt" > "$WORK/schema.inserted"
+if diff -q "$WORK/mut.base" "$WORK/schema.inserted" > /dev/null; then
+  echo "serve_ci: FAIL — schema fixture leaves $MUT's answers unchanged (vacuous gate)" >&2
+  exit 1
+fi
+client "INSERT $WORK/schema.nt" 2> "$WORK/schema.status" > /dev/null
+grep -q '^OK schema=1 data=2 ' "$WORK/schema.status" \
+  || { echo "serve_ci: FAIL — schema INSERT not applied as schema=1 data=2" >&2; cat "$WORK/schema.status" >&2; exit 1; }
+client --workload-query $MUT > "$WORK/mut.rows" 2> /dev/null
+check_identical "post-schema-insert $MUT" "$WORK/mut.rows" "$WORK/schema.inserted"
+client "DELETE $WORK/schema.nt" > /dev/null 2> /dev/null
+client --workload-query $MUT > "$WORK/mut.rows" 2> /dev/null
+check_identical "post-schema-delete $MUT" "$WORK/mut.rows" "$WORK/mut.base"
 
-# --- phase 5: graceful drain -------------------------------------------------
+# --- phase 5: server-side stats sanity ---------------------------------------
+client STATS > "$WORK/stats.out" 2> /dev/null
+grep -q '^epoch=6$' "$WORK/stats.out" \
+  || { echo "serve_ci: FAIL — expected epoch=6 after 6 writes" >&2; cat "$WORK/stats.out" >&2; exit 1; }
+grep -q '^writes=6$' "$WORK/stats.out" \
+  || { echo "serve_ci: FAIL — expected writes=6" >&2; cat "$WORK/stats.out" >&2; exit 1; }
+echo "serve_ci: ok — server stats coherent (epoch=6, writes=6)"
+
+# --- phase 6: graceful drain -------------------------------------------------
 kill -TERM "$SRV_PID"
 code=0
 wait "$SRV_PID" || code=$?

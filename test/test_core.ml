@@ -496,6 +496,98 @@ let test_failure_surfaces () =
     (try ignore (Rqa.Answering.answer sys Rqa.Answering.Ucq q3); false
      with Engine.Profile.Engine_failure _ -> true)
 
+(* ---- warm-up: interning covers every reformulation ---- *)
+
+(* Both workloads over fresh stores, with their templates normalized as
+   [Answering.answer] sees them. *)
+let workloads () =
+  [
+    ( "lubm",
+      Workloads.Lubm.generate { Workloads.Lubm.universities = 1 },
+      Workloads.Lubm.queries );
+    ( "dblp",
+      Workloads.Dblp.generate { Workloads.Dblp.publications = 2000 },
+      Workloads.Dblp.queries );
+  ]
+  |> List.map (fun (wl, store, qs) ->
+         (wl, store, List.map (fun (n, q) -> (n, Bgp.normalize q)) qs))
+
+(* [f name ucq] on each template's whole-body reformulation, one at a time
+   (LUBM Q28's alone is 318,096 disjuncts), skipping [Too_large] ones. *)
+let iter_whole_body refm queries f =
+  List.iter
+    (fun (name, q) ->
+      match Reformulation.Reformulate.reformulate refm q with
+      | ucq -> f name ucq
+      | exception Reformulation.Reformulate.Too_large _ -> ())
+    queries
+
+let bgp_constants (q : Bgp.t) =
+  let const = function Bgp.Var _ -> [] | Bgp.Const t -> [ t ] in
+  List.concat_map const q.Bgp.head
+  @ List.concat_map
+      (fun (a : Bgp.atom) -> const a.s @ const a.p @ const a.o)
+      q.Bgp.body
+
+let check_interned store label ucq =
+  List.iter
+    (fun d ->
+      List.iter
+        (fun t ->
+          if Store.Encoded_store.encode_term store t = None then
+            Alcotest.failf "%s: %s is not interned" label
+              (Rdf.Term.to_string t))
+        (bgp_constants d))
+    (Ucq.disjuncts ucq)
+
+(* [Server.needs_intern] relies on this: after [warm_up] alone, no
+   reformulation (whole body or GCov fragment) holds a constant the
+   dictionary lacks, and warm-up built nothing into tier 1. *)
+let test_warm_up_interns_reformulations () =
+  List.iter
+    (fun (wl, store, queries) ->
+      let sys = Rqa.Answering.make store in
+      Rqa.Answering.warm_up sys (List.map snd queries);
+      Alcotest.(check int) (wl ^ ": tier 1 empty after warm-up") 0
+        (Cache.stats (Rqa.Answering.cache sys)).Cache.reformulation
+          .Cache.entries;
+      iter_whole_body (Rqa.Answering.reformulator sys) queries
+        (fun name ucq -> check_interned store (wl ^ " " ^ name) ucq);
+      List.iter
+        (fun (name, q) ->
+          let obj = Rqa.Answering.objective sys q in
+          let cover = (Rqa.Gcov.search obj).Rqa.Gcov.cover in
+          List.iter
+            (fun f ->
+              match Rqa.Objective.reformulate obj (Jucq.cover_query q cover f) with
+              | ucq ->
+                  check_interned store
+                    (Printf.sprintf "%s %s fragment" wl name)
+                    ucq
+              | exception Reformulation.Reformulate.Too_large _ -> ())
+            cover)
+        queries)
+    (workloads ())
+
+(* [Statistics.ucq_cardinality] keys a UCQ's disjuncts as they are,
+   without canonicalizing them again: sound only if canonicalization is
+   idempotent on what reformulation produces. *)
+let test_canonical_idempotent () =
+  List.iter
+    (fun (wl, schema, queries) ->
+      iter_whole_body (Reformulation.Reformulate.create schema) queries
+        (fun name ucq ->
+          List.iter
+            (fun d ->
+              if Bgp.raw_compare (Bgp.canonical d) d <> 0 then
+                Alcotest.failf "%s %s: canonical form moved %s" wl name
+                  (Bgp.to_string d))
+            (Ucq.disjuncts ucq)))
+    [
+      ("lubm", Workloads.Lubm.schema, Workloads.Lubm.queries);
+      ("dblp", Workloads.Dblp.schema, Workloads.Dblp.queries);
+    ]
+
 (* ---- qcheck: strategies = specification on random data ---- *)
 
 let gen_node = QCheck2.Gen.(map (fun i -> u (Printf.sprintf "n%d" i)) (int_bound 6))
@@ -655,6 +747,13 @@ let () =
           Alcotest.test_case "engine oracle agrees" `Quick test_strategies_agree_engine_oracle;
           Alcotest.test_case "report metadata" `Quick test_report_metadata;
           Alcotest.test_case "failures surface" `Quick test_failure_surfaces;
+        ] );
+      ( "warm_up",
+        [
+          Alcotest.test_case "interning covers reformulations" `Slow
+            test_warm_up_interns_reformulations;
+          Alcotest.test_case "canonical form idempotent" `Slow
+            test_canonical_idempotent;
         ] );
       ("properties", qcheck_cases);
     ]

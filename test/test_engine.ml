@@ -276,6 +276,40 @@ let test_operations_metered () =
   ignore (Engine.Executor.eval_cq ex q);
   Alcotest.(check bool) "ops counted" true (Engine.Executor.last_operations ex > 0)
 
+(* The plan caches hold statements weakly: a CQ or UCQ evaluated once and
+   dropped (every cache-off request) is collected along with its plans,
+   while a statement the caller still holds keeps its plans. *)
+let test_plan_caches_do_not_pin () =
+  let ex = Engine.Executor.create (store ()) in
+  let collected = ref 0 in
+  let fresh_jucq () =
+    let q = Bgp.make [ v "x"; v "y" ] [ Bgp.atom (v "x") (c (u "q")) (v "y") ] in
+    let ucq = Ucq.of_cqs [ q ] in
+    (ucq, Jucq.make ~reformulate:(fun _ -> ucq) q [ [ 0 ] ])
+  in
+  let[@inline never] evaluate_and_drop () =
+    let cq = Bgp.make [ v "x"; v "y" ] [ Bgp.atom (v "x") (c (u "p")) (v "y") ] in
+    let ucq, jucq = fresh_jucq () in
+    Gc.finalise (fun _ -> incr collected) cq;
+    Gc.finalise (fun _ -> incr collected) ucq;
+    ignore (Engine.Executor.eval_cq ex cq);
+    ignore (Engine.Executor.eval_jucq ex jucq)
+  in
+  evaluate_and_drop ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "dropped CQ and UCQ collected" 2 !collected;
+  let _, held = fresh_jucq () in
+  let run () =
+    let rows = Engine.Executor.decode ex (Engine.Executor.eval_jucq ex held) in
+    (rows, Engine.Executor.last_operations ex)
+  in
+  let first = run () in
+  Gc.full_major ();
+  let again = run () in
+  Alcotest.check rows_t "held statement answers" (fst first) (fst again);
+  Alcotest.(check int) "held statement charges" (snd first) (snd again)
+
 (* ---- explain ---- *)
 
 let test_explain_positive_and_monotone () =
@@ -599,6 +633,11 @@ let () =
           Alcotest.test_case "materialization overflow" `Quick test_materialization_failure;
           Alcotest.test_case "operation budget" `Quick test_operation_budget_failure;
           Alcotest.test_case "operations metered" `Quick test_operations_metered;
+        ] );
+      ( "plan_cache",
+        [
+          Alcotest.test_case "dead statements not pinned" `Quick
+            test_plan_caches_do_not_pin;
         ] );
       ( "explain",
         [ Alcotest.test_case "positive cost" `Quick test_explain_positive_and_monotone ] );

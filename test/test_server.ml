@@ -445,6 +445,59 @@ let test_server_end_to_end () =
   Alcotest.(check string) "quit" "OK bye" status;
   Alcotest.(check bool) "requests counted" true (Server.requests_served srv > 0)
 
+(* A schema write through the server: the subclass triple is applied
+   under the write section (with its re-warm), and every later read agrees
+   with a fresh single-shot system over a store holding the same triples. *)
+let test_server_schema_write () =
+  let triples =
+    [
+      tr (u "D") Rdf.Vocab.rdfs_subclassof (u "B");
+      tr (u "z0") typ (u "D");
+    ]
+  in
+  let before =
+    expected_rows (Rqa.Answering.make (stress_store ())) Rqa.Answering.Scq
+      q_class
+  in
+  let ref_store = stress_store () in
+  ignore (Es.insert_triples ref_store triples);
+  let ref_sys = Rqa.Answering.make ref_store in
+  Rqa.Answering.warm_up ref_sys [ q_class; q_prop ];
+  let store = stress_store () in
+  with_server store @@ fun srv ->
+  let fd, ic, oc = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let ch = (ic, oc) in
+  let file = Filename.temp_file "rdfqa_schema" ".nt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  let out = open_out file in
+  List.iter
+    (fun t -> output_string out (Rdf.Ntriples.line_of_triple t ^ "\n"))
+    triples;
+  close_out out;
+  let status, _ = request ch ("INSERT " ^ file) in
+  Alcotest.(check bool) ("schema insert ok: " ^ status) true
+    (has_prefix ~prefix:"OK schema=1 data=1" status);
+  List.iter
+    (fun (verb, strategy) ->
+      let expected = expected_rows ref_sys strategy q_class in
+      let status, rows = request ch (verb ^ " " ^ q_class_text) in
+      Alcotest.(check bool) (verb ^ " ok") true
+        (has_prefix ~prefix:"OK rows=" status);
+      Alcotest.(check (list (list string))) (verb ^ " rows = single-shot")
+        expected (sorted_rows rows))
+    [
+      ("QUERY", Rqa.Answering.Scq);
+      ("QUERY/gcov", Rqa.Answering.Gcov);
+      ("QUERY/ucq", Rqa.Answering.Ucq);
+      ("QUERY", Rqa.Answering.Scq);
+    ];
+  Alcotest.(check bool) "the write changed the answers" false
+    (before = expected_rows ref_sys Rqa.Answering.Scq q_class);
+  ignore (request ch "QUIT")
+
 let test_server_concurrent_clients () =
   let store = stress_store () in
   let ref_sys = Rqa.Answering.make (stress_store ()) in
@@ -525,5 +578,6 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "admission gate" `Quick test_server_admission_reject;
+          Alcotest.test_case "schema write" `Quick test_server_schema_write;
         ] );
     ]
