@@ -6,15 +6,13 @@
      --experiment LIST            comma-separated ids among
                                   table1,table2,table3,table4,
                                   fig4,fig5,fig6,fig7,fig8,fig9,fig10,
-                                  ablations,minimization,workload,
-                                  cache,admission,latency,views,serve
-                                  (default: all)
+                                  ablations,minimization,workload
+                                  (default: all; an unknown id exits 2)
      --runs N                     timed repetitions per measurement (default 1,
                                   after one warm-up when N > 1)
      --jobs N                     worker domains for parallel cover costing
                                   and the workload driver (default:
                                   RDFQA_JOBS, else 1)
-     --bechamel                   also run the Bechamel micro-benchmarks
 
    Shapes to compare against the paper (absolute numbers differ: the
    substrate is this library's in-process engine, not the authors'
@@ -38,33 +36,28 @@ let now_ms () = Unix.gettimeofday () *. 1000.0
 (* ---------- configuration ---------- *)
 
 type config = {
-  scale : string;
   lubm_small : int;   (* universities *)
   lubm_large : int;
   dblp_pubs : int;
   runs : int;
   jobs : int;
   experiments : string list;
-  bechamel : bool;
 }
 
 let all_experiments =
   [ "table1"; "table2"; "table3"; "table4"; "fig4"; "fig5"; "fig6"; "fig7";
-    "fig8"; "fig9"; "fig10"; "ablations"; "minimization"; "workload";
-    "cache"; "admission"; "latency"; "views"; "serve" ]
+    "fig8"; "fig9"; "fig10"; "ablations"; "minimization"; "workload" ]
 
 let parse_config () =
   let cfg =
     ref
       {
-        scale = "default";
         lubm_small = 8;
         lubm_large = 40;
         dblp_pubs = 15_000;
         runs = 1;
         jobs = Par.current_jobs ();
         experiments = all_experiments;
-        bechamel = false;
       }
   in
   let rec go = function
@@ -73,18 +66,11 @@ let parse_config () =
         (cfg :=
            match s with
            | "quick" ->
-               {
-                 !cfg with
-                 scale = s;
-                 lubm_small = 2;
-                 lubm_large = 8;
-                 dblp_pubs = 4_000;
-               }
-           | "default" -> { !cfg with scale = s }
+               { !cfg with lubm_small = 2; lubm_large = 8; dblp_pubs = 4_000 }
+           | "default" -> !cfg
            | "full" ->
                {
                  !cfg with
-                 scale = s;
                  lubm_small = 20;
                  lubm_large = 190;
                  dblp_pubs = 150_000;
@@ -92,7 +78,16 @@ let parse_config () =
            | other -> failwith ("unknown scale: " ^ other));
         go rest
     | "--experiment" :: s :: rest ->
-        cfg := { !cfg with experiments = String.split_on_char ',' s };
+        let ids = String.split_on_char ',' s in
+        let known id = List.mem id all_experiments in
+        (match List.filter (fun id -> not (known id)) ids with
+        | [] -> ()
+        | unknown ->
+            Printf.eprintf "unknown experiment %s (valid: %s)\n"
+              (String.concat "," unknown)
+              (String.concat "," all_experiments);
+            exit 2);
+        cfg := { !cfg with experiments = ids };
         go rest
     | "--runs" :: n :: rest ->
         cfg := { !cfg with runs = int_of_string n };
@@ -100,13 +95,10 @@ let parse_config () =
     | "--jobs" :: n :: rest ->
         cfg := { !cfg with jobs = int_of_string n };
         go rest
-    | "--bechamel" :: rest ->
-        cfg := { !cfg with bechamel = true };
-        go rest
     | "--help" :: _ ->
         print_endline
           "usage: bench/main.exe [--scale quick|default|full] [--experiment \
-           LIST] [--runs N] [--jobs N] [--bechamel]";
+           LIST] [--runs N] [--jobs N]";
         exit 0
     | other :: _ -> failwith ("unknown option: " ^ other)
   in
@@ -153,9 +145,6 @@ let atom_query (a : Bgp.atom) =
   let head = List.map (fun v -> Bgp.Var v) (Bgp.atom_vars a) in
   let head = if head = [] then [ a.s ] else head in
   Bgp.make head [ a ]
-
-let cached_atom_count ds a =
-  Ucq.cardinal (cached_reformulate ds (atom_query a))
 
 type ctx = {
   cfg : config;
@@ -679,860 +668,6 @@ let workload_driver ctx =
     exit 1
   end
 
-(* ---------- Cache: cold vs warm answering ---------- *)
-
-type cache_run = {
-  c_label : string;
-  cold_ms : float;
-  warm_ms : float;
-  replan_ms : float;  (* answers off: tiers 1-2 only *)
-  t1_hits : int;      (* warm-path tier probes (see below) *)
-  t1_misses : int;
-  t2_hits : int;
-  t2_misses : int;
-  t3_hits : int;
-  t3_misses : int;
-}
-
-(* Filled by [cache_experiment], written by [write_bench_json]. *)
-let cache_runs : cache_run list ref = ref []
-
-(* Three passes over (queries × engine profiles × search strategies):
-   cold, warm (served by the answer tier), and answers-off (served by the
-   reformulation and cover tiers, with real execution).  All three must
-   agree bit-for-bit on decoded rows, covers, reformulation sizes and
-   search effort — and the warm passes must never miss: the second pass
-   asserts a 100% answer-tier hit rate, the third a 100% hit rate on
-   tiers 1-2 (every reformulation and cover cost the cold pass needed is
-   still there; data didn't move).  Engine failures are never cached, so
-   failing statements must fail identically in all three passes. *)
-let cache_experiment ctx =
-  header "Cache: cold vs warm passes (bit-identity + per-tier hit rates)";
-  let check dsl strategies =
-    let ds = Lazy.force dsl in
-    let cache = ds.cache in
-    let systems = Lazy.force ds.systems in
-    let outcome sys strat q =
-      match Rqa.Answering.answer sys strat q with
-      | r ->
-          let ex =
-            match strat with
-            | Rqa.Answering.Saturation -> Rqa.Answering.saturated_engine sys
-            | _ -> Rqa.Answering.engine sys
-          in
-          Ok
-            ( List.map
-                (List.map Rdf.Term.to_string)
-                (Engine.Executor.decode ex r.Rqa.Answering.answers),
-              r.Rqa.Answering.cover,
-              r.Rqa.Answering.union_terms,
-              r.Rqa.Answering.fragment_terms,
-              r.Rqa.Answering.covers_explored )
-      | exception Engine.Profile.Engine_failure { reason; _ } ->
-          Error (Engine.Profile.failure_to_string reason)
-    in
-    let pass () =
-      let t0 = now_ms () in
-      let rows =
-        List.concat_map
-          (fun (ename, sys) ->
-            List.concat_map
-              (fun (sname, strat) ->
-                List.map
-                  (fun (qname, q) ->
-                    ((ename, sname, qname), outcome sys strat q))
-                  ds.queries)
-              strategies)
-          systems
-      in
-      (rows, now_ms () -. t0)
-    in
-    let fail_pass which =
-      Printf.eprintf "cache experiment: %s pass diverged from cold (%s)\n"
-        which ds.label;
-      exit 1
-    in
-    let tier (s : Cache.stats) = function
-      | `T1 -> s.Cache.reformulation
-      | `T2 -> s.Cache.cover
-      | `T3 -> s.Cache.answer
-    in
-    let delta t (before : Cache.stats) (after : Cache.stats) =
-      ( (tier after t).Cache.hits - (tier before t).Cache.hits,
-        (tier after t).Cache.misses - (tier before t).Cache.misses )
-    in
-    let cold, cold_ms = pass () in
-    let s1 = Cache.stats cache in
-    let warm, warm_ms = pass () in
-    let s2 = Cache.stats cache in
-    if warm <> cold then fail_pass "warm";
-    let t3_hits, t3_misses = delta `T3 s1 s2 in
-    if t3_misses > 0 then begin
-      Printf.eprintf
-        "cache experiment: %d answer-tier misses on the warm pass (%s)\n"
-        t3_misses ds.label;
-      exit 1
-    end;
-    Cache.set_mode cache Cache.Answers_off;
-    let replan, replan_ms = pass () in
-    Cache.set_mode cache Cache.On;
-    if replan <> cold then fail_pass "answers-off";
-    let s3 = Cache.stats cache in
-    let t1_hits, t1_misses = delta `T1 s2 s3 in
-    let t2_hits, t2_misses = delta `T2 s2 s3 in
-    if t1_misses > 0 || t2_misses > 0 then begin
-      Printf.eprintf
-        "cache experiment: warm replanning missed (tier1 %d, tier2 %d) (%s)\n"
-        t1_misses t2_misses ds.label;
-      exit 1
-    end;
-    Printf.printf
-      "%-7s cold %8.1f ms | warm %8.1f ms (%5.1fx, %d answer hits) | \
-       replan %8.1f ms (tier1 %d hits, tier2 %d hits, 0 misses)\n%!"
-      ds.label cold_ms warm_ms
-      (cold_ms /. Float.max warm_ms 1e-9)
-      t3_hits replan_ms t1_hits t2_hits;
-    cache_runs :=
-      !cache_runs
-      @ [
-          {
-            c_label = ds.label;
-            cold_ms;
-            warm_ms;
-            replan_ms;
-            t1_hits;
-            t1_misses;
-            t2_hits;
-            t2_misses;
-            t3_hits;
-            t3_misses;
-          };
-        ]
-  in
-  check ctx.lubm_s
-    [
-      ("ECov", Rqa.Answering.Ecov default_ecov_budget);
-      ("GCov", Rqa.Answering.Gcov);
-    ];
-  check ctx.dblp [ ("GCov", Rqa.Answering.Gcov) ]
-
-(* ---------- Admission: static-gate effectiveness ---------- *)
-
-type admission_run = {
-  a_label : string; (* "LUBM-S/postgres" *)
-  a_queries : int;
-  a_safe : int;
-  a_fails : int;
-  a_unknown : int;
-  a_skipped : int; (* reformulation too large to cost statically *)
-}
-
-(* Filled by [admission_experiment], written by [write_bench_json]. *)
-let admission_runs : admission_run list ref = ref []
-
-(* How much of each workload the static analyzer can decide before
-   execution, per engine profile, on the SCQ-cover JUCQ (the same
-   statement [rdfqa check --cost] admits).  Queries whose reformulation
-   is provably over the profile's union capacity are counted as skipped,
-   mirroring the CLI's RF001 skip. *)
-let admission_experiment ctx =
-  header "Admission: static cost verdicts per engine profile (SCQ covers)";
-  let module CV = Analysis.Cost_verify in
-  let check dsl =
-    let ds = Lazy.force dsl in
-    let reformulate = cached_reformulate ds in
-    List.iter
-      (fun (ename, sys) ->
-        let oracle =
-          Engine.Executor.cost_oracle (Rqa.Answering.engine sys)
-        in
-        let capacity = oracle.CV.max_union_terms in
-        let safe = ref 0
-        and fails = ref 0
-        and unknown = ref 0
-        and skipped = ref 0 in
-        List.iter
-          (fun (_qname, q) ->
-            let q = Bgp.normalize q in
-            let cover = Jucq.scq_cover q in
-            let too_large =
-              List.exists
-                (fun f ->
-                  Reformulation.Reformulate.count_product_bound
-                    ds.reformulator
-                    (Jucq.cover_query q cover f)
-                  > capacity)
-                cover
-            in
-            if too_large then incr skipped
-            else
-              match Jucq.make ~reformulate q cover with
-              | j -> (
-                  match CV.verdict oracle (CV.Jucq j) with
-                  | CV.Safe -> incr safe
-                  | CV.Fails -> incr fails
-                  | CV.Unknown -> incr unknown)
-              | exception Reformulation.Reformulate.Too_large _ ->
-                  incr skipped)
-          ds.queries;
-        let n = List.length ds.queries in
-        Printf.printf
-          "%-7s %-10s %2d queries | safe %2d | fails %2d | unknown %2d | \
-           skipped %2d\n%!"
-          ds.label ename n !safe !fails !unknown !skipped;
-        admission_runs :=
-          !admission_runs
-          @ [
-              {
-                a_label = ds.label ^ "/" ^ ename;
-                a_queries = n;
-                a_safe = !safe;
-                a_fails = !fails;
-                a_unknown = !unknown;
-                a_skipped = !skipped;
-              };
-            ])
-      (Lazy.force ds.systems)
-  in
-  check ctx.lubm_s;
-  check ctx.dblp
-
-(* ---------- Latency histograms ---------- *)
-
-type latency_run = {
-  l_label : string;
-  l_count : int;
-  l_p50_ms : float;
-  l_p90_ms : float;
-  l_p99_ms : float;
-  l_max_ms : float;
-  l_store_bytes : int;
-}
-
-(* Filled by [latency_experiment], written by [write_bench_json]. *)
-let latency_runs : latency_run list ref = ref []
-
-(* Per-workload end-to-end answer latency quantiles (GCov, postgres-like)
-   over several cache-enabled passes — pass 1 is cold, the rest hit the
-   answer tier, so the histogram sees the latency mix a serving process
-   would.  These quantiles (and the store footprint) feed BENCH_engine.json
-   and, through it, the perf-history trend page. *)
-let latency_experiment ctx =
-  header "Latency: per-workload answer quantiles (GCov, postgres-like)";
-  let passes = 5 in
-  let check dsl =
-    let ds = Lazy.force dsl in
-    let sys = Lazy.force ds.pg_system in
-    let h = Metrics.Histogram.create () in
-    for _pass = 1 to passes do
-      List.iter
-        (fun (_qname, q) ->
-          let t = now_ms () in
-          (match Rqa.Answering.answer sys Rqa.Answering.Gcov q with
-          | (_ : Rqa.Answering.report) -> ()
-          | exception Engine.Profile.Engine_failure _ -> ());
-          Metrics.Histogram.observe h (now_ms () -. t))
-        ds.queries
-    done;
-    let q p = Metrics.Histogram.quantile h p in
-    let r =
-      {
-        l_label = ds.label;
-        l_count = Metrics.Histogram.count h;
-        l_p50_ms = q 0.50;
-        l_p90_ms = q 0.90;
-        l_p99_ms = q 0.99;
-        l_max_ms = Metrics.Histogram.max_value h;
-        l_store_bytes = Store.Encoded_store.approx_bytes ds.store;
-      }
-    in
-    Printf.printf
-      "%-7s %4d answers | p50 %7.2f ms | p90 %7.2f ms | p99 %7.2f ms | \
-       max %7.2f ms | store %d B\n%!"
-      r.l_label r.l_count r.l_p50_ms r.l_p90_ms r.l_p99_ms r.l_max_ms
-      r.l_store_bytes;
-    latency_runs := !latency_runs @ [ r ]
-  in
-  check ctx.lubm_s;
-  check ctx.dblp
-
-(* ---------- Views: workload-driven materialized views ---------- *)
-
-type views_run = {
-  v_label : string; (* "LUBM-S/ECov" *)
-  v_noviews_ms : float;
-  v_views_ms : float;
-  v_materialize_ms : float; (* per dataset: selection + materialization *)
-  v_selected : int;
-  v_candidates : int;
-  v_bytes : int; (* actual snapshot bytes held *)
-  v_hits : int;
-  v_misses : int;
-}
-
-(* Filled by [views_experiment], written by [write_bench_json]. *)
-let views_runs : views_run list ref = ref []
-
-(* Workload-total answering time with and without the materialized-view
-   tier, per cover strategy, with a bit-identity gate: decoded answers,
-   per-statement operation totals and failure reasons must all match the
-   view-less baseline exactly, or the bench exits 1.
-
-   Both systems share the dataset's store and one fresh cache (so tier-1
-   physical identity holds across them and cover searches hit the same
-   tier-2 memo), with the answer tier off so every measured answer is a
-   real evaluation.  Selection runs before ANY measured evaluation: its
-   fragment preparation lands every plan-time dictionary encode first,
-   which the charge-identity of replayed snapshots depends on.  ECov runs
-   with its wall clock disabled (cover determinism between the selection
-   and measured runs) — affordable on LUBM, far too slow on DBLP's cover
-   spaces, so the DBLP leg measures GCov only, like the cache
-   experiment. *)
-let views_experiment ctx =
-  header "Views: workload answering with and without materialized views";
-  let budget = 64 * 1024 * 1024 in
-  let check dsl strategies =
-    let ds = Lazy.force dsl in
-    let cache = Cache.create ~reformulator:ds.reformulator ds.store in
-    let profile = Engine.Profile.postgres_like in
-    let sys_base = Rqa.Answering.make ~profile ~cache ds.store in
-    let sys_views = Rqa.Answering.make ~profile ~cache ds.store in
-    Cache.set_mode cache Cache.Answers_off;
-    let t0 = now_ms () in
-    let selection =
-      Rqa.View_select.select_and_install
-        ~strategies:(List.map snd strategies) ~budget sys_views ds.queries
-    in
-    let materialize_ms = now_ms () -. t0 in
-    let v = Option.get (Rqa.Answering.views sys_views) in
-    let outcome sys strat q =
-      match Rqa.Answering.answer sys strat q with
-      | r ->
-          let ex = Rqa.Answering.engine sys in
-          Ok
-            ( List.map
-                (List.map Rdf.Term.to_string)
-                (Engine.Executor.decode ex r.Rqa.Answering.answers),
-              Engine.Executor.last_operations ex )
-      | exception Engine.Profile.Engine_failure { reason; _ } ->
-          Error (Engine.Profile.failure_to_string reason)
-    in
-    List.iter
-      (fun (sname, strat) ->
-        let pass sys =
-          let t0 = now_ms () in
-          let rows =
-            List.map (fun (qname, q) -> (qname, outcome sys strat q)) ds.queries
-          in
-          (rows, now_ms () -. t0)
-        in
-        let h0 = Cache.Views.hits v and m0 = Cache.Views.misses v in
-        let base, noviews_ms = pass sys_base in
-        let views, views_ms = pass sys_views in
-        if base <> views then begin
-          Printf.eprintf
-            "views experiment: %s/%s diverged from the view-less baseline\n"
-            ds.label sname;
-          exit 1
-        end;
-        let r =
-          {
-            v_label = ds.label ^ "/" ^ sname;
-            v_noviews_ms = noviews_ms;
-            v_views_ms = views_ms;
-            v_materialize_ms = materialize_ms;
-            v_selected = List.length selection.Rqa.View_select.selected;
-            v_candidates = List.length selection.Rqa.View_select.candidates;
-            v_bytes = Cache.Views.bytes v;
-            v_hits = Cache.Views.hits v - h0;
-            v_misses = Cache.Views.misses v - m0;
-          }
-        in
-        Printf.printf
-          "%-12s no-views %8.1f ms | views %8.1f ms (%5.2fx) | %d/%d views, \
-           %d B, %d hits, %d misses | materialize %.1f ms\n%!"
-          r.v_label r.v_noviews_ms r.v_views_ms
-          (r.v_noviews_ms /. Float.max r.v_views_ms 1e-9)
-          r.v_selected r.v_candidates r.v_bytes r.v_hits r.v_misses
-          r.v_materialize_ms;
-        views_runs := !views_runs @ [ r ])
-      strategies
-  in
-  check ctx.lubm_s
-    [
-      ("ECov", Rqa.Answering.Ecov Rqa.View_select.deterministic_ecov_budget);
-      ("GCov", Rqa.Answering.Gcov);
-    ];
-  check ctx.dblp [ ("GCov", Rqa.Answering.Gcov) ]
-
-(* ---------- Serve: sustained throughput against a live server ---------- *)
-
-type serve_run = {
-  sv_label : string;
-  sv_clients : int;
-  sv_requests : int; (* client read requests completed *)
-  sv_errors : int;   (* ERR responses among them (engine-limit refusals) *)
-  sv_writes : int;   (* INSERT/DELETE write sections interleaved *)
-  sv_qps : float;
-  sv_p50_ms : float;
-  sv_p99_ms : float;
-}
-
-(* Filled by [serve_experiment], written by [write_bench_json]. *)
-let serve_runs : serve_run list ref = ref []
-
-let serve_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let serve_request ic oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  let status = input_line ic in
-  let rec drain () =
-    if input_line ic <> Server.Protocol.terminator then drain ()
-  in
-  drain ();
-  status
-
-(* An in-process server over a fresh LUBM-S-scale store (fresh so the
-   server-side mutation below never touches the shared datasets):
-   [n_clients] connections each issue a hot/cold query mix — the hot
-   query repeats, the cold ones cycle through the workload — while one
-   writer connection toggles a fact file between INSERT and DELETE.
-   Sustained read throughput and client-observed latency quantiles feed
-   the "serve" section of BENCH_engine.json (and, through it, the
-   perf-history trend page). *)
-let serve_experiment ctx =
-  header "Serve: concurrent clients against a live rdfqa server";
-  let store =
-    Workloads.Lubm.generate
-      { Workloads.Lubm.universities = ctx.cfg.lubm_small }
-  in
-  let queries = List.map snd Workloads.Lubm.queries in
-  let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s in
-  let texts =
-    Array.of_list (List.map (fun q -> one_line (Query.Sparql.to_sparql q)) queries)
-  in
-  let config =
-    {
-      Server.default_config with
-      strategy = Rqa.Answering.Scq;
-      warm = queries;
-    }
-  in
-  let srv = Server.start config store in
-  let port = Server.port srv in
-  let n_clients = 4 in
-  let per_client =
-    match ctx.cfg.scale with "quick" -> 60 | "full" -> 600 | _ -> 200
-  in
-  let lat = Array.init n_clients (fun _ -> Array.make per_client 0.0) in
-  let errors = Array.make n_clients 0 in
-  let reader k =
-    let fd, ic, oc = serve_connect port in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        for i = 0 to per_client - 1 do
-          (* two hot requests for every cold one: a serving cache mix *)
-          let text =
-            if i mod 3 < 2 then texts.(0)
-            else texts.((i / 3) mod Array.length texts)
-          in
-          let t0 = now_ms () in
-          let status = serve_request ic oc ("QUERY " ^ text) in
-          lat.(k).(i) <- now_ms () -. t0;
-          if String.length status >= 3 && String.sub status 0 3 = "ERR" then
-            errors.(k) <- errors.(k) + 1
-        done;
-        ignore (serve_request ic oc "QUIT"))
-  in
-  let writes = ref 0 in
-  let stop_writer = Atomic.make false in
-  let writer () =
-    let file = Filename.temp_file "rdfqa_bench_serve" ".nt" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-      (fun () ->
-        let out = open_out file in
-        for i = 0 to 2 do
-          output_string out
-            (Rdf.Ntriples.line_of_triple
-               (Rdf.Triple.make
-                  (Rdf.Term.uri (Printf.sprintf "http://bench.serve/x%d" i))
-                  Rdf.Vocab.rdf_type
-                  (Rdf.Term.uri "http://bench.serve/Extra"))
-            ^ "\n")
-        done;
-        close_out out;
-        let fd, ic, oc = serve_connect port in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            while not (Atomic.get stop_writer) do
-              ignore (serve_request ic oc ("INSERT " ^ file));
-              ignore (serve_request ic oc ("DELETE " ^ file));
-              writes := !writes + 2;
-              Thread.delay 0.005
-            done;
-            ignore (serve_request ic oc "QUIT")))
-  in
-  let t0 = now_ms () in
-  let wt = Thread.create writer () in
-  let threads = Array.init n_clients (fun k -> Thread.create reader k) in
-  Array.iter Thread.join threads;
-  Atomic.set stop_writer true;
-  Thread.join wt;
-  let wall_ms = now_ms () -. t0 in
-  Server.stop srv;
-  let h = Metrics.Histogram.create () in
-  Array.iter (Array.iter (fun ms -> Metrics.Histogram.observe h ms)) lat;
-  let requests = n_clients * per_client in
-  let r =
-    {
-      sv_label = "LUBM-S";
-      sv_clients = n_clients;
-      sv_requests = requests;
-      sv_errors = Array.fold_left ( + ) 0 errors;
-      sv_writes = !writes;
-      sv_qps = float_of_int requests /. Float.max (wall_ms /. 1000.0) 1e-9;
-      sv_p50_ms = Metrics.Histogram.quantile h 0.50;
-      sv_p99_ms = Metrics.Histogram.quantile h 0.99;
-    }
-  in
-  Printf.printf
-    "%-7s %d clients x %d requests (+%d writes, %d ERR) | %8.1f qps | p50 \
-     %6.2f ms | p99 %6.2f ms\n%!"
-    r.sv_label r.sv_clients per_client r.sv_writes r.sv_errors r.sv_qps
-    r.sv_p50_ms r.sv_p99_ms;
-  serve_runs := !serve_runs @ [ r ]
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* Machine-readable mirror of the bechamel run: per benchmark, the ns/run
-   at the configured jobs count ([ns]), at jobs=1 ([ns_seq]), and the
-   resulting [speedup_vs_seq] (1.0 when jobs=1: the sequential run is not
-   repeated).  [scaling] adds the raw ns/run per benchmark at every probed
-   jobs level (keys are the {e requested} widths; [effective_jobs] at the
-   top level says what the core clamp actually granted, so a 1-core reader
-   knows the jobs=4 column exercised the clamp path, not four domains).
-   When a [BENCH_engine_baseline.json] sits next to the executable's cwd,
-   its raw contents ride along under a ["baseline"] key so before/after
-   pairs live in one file. *)
-let write_bench_json ~scale ~jobs ~scaling results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"unit\": \"ns/run\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"effective_jobs\": %d,\n"
-       (Par.jobs (Par.get ())));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cpus\": %d,\n" (Par.recommended_jobs ()));
-  Buffer.add_string buf "  \"results\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, ns, ns_seq) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    %S: {\"ns\": %.1f, \"ns_seq\": %.1f, \"jobs\": %d, \
-            \"speedup_vs_seq\": %.3f}%s\n"
-           name ns ns_seq jobs
-           (ns_seq /. Float.max ns 1e-9)
-           (if i = n - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  }";
-  if scaling <> [] then begin
-    Buffer.add_string buf ",\n  \"scaling\": {\n";
-    let m = List.length scaling in
-    List.iteri
-      (fun i (name, per_jobs) ->
-        let cells =
-          List.map
-            (fun (j, ns) -> Printf.sprintf "\"%d\": %.1f" j ns)
-            per_jobs
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "    %S: {%s}%s\n" name
-             (String.concat ", " cells)
-             (if i = m - 1 then "" else ",")))
-      scaling;
-    Buffer.add_string buf "  }"
-  end;
-  if !cache_runs <> [] then begin
-    Buffer.add_string buf ",\n  \"cache\": {\n";
-    let m = List.length !cache_runs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: {\"cold_ms\": %.2f, \"warm_ms\": %.2f, \
-              \"replan_ms\": %.2f, \"warm_speedup\": %.1f, \
-              \"answer_hits\": %d, \"answer_misses\": %d, \
-              \"reformulation_hits\": %d, \"reformulation_misses\": %d, \
-              \"cover_hits\": %d, \"cover_misses\": %d}%s\n"
-             r.c_label r.cold_ms r.warm_ms r.replan_ms
-             (r.cold_ms /. Float.max r.warm_ms 1e-9)
-             r.t3_hits r.t3_misses r.t1_hits r.t1_misses r.t2_hits r.t2_misses
-             (if i = m - 1 then "" else ",")))
-      !cache_runs;
-    Buffer.add_string buf "  }"
-  end;
-  if !admission_runs <> [] then begin
-    Buffer.add_string buf ",\n  \"admission\": {\n";
-    let m = List.length !admission_runs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: {\"queries\": %d, \"provably_safe\": %d, \
-              \"provably_fails\": %d, \"unknown\": %d, \"skipped\": %d, \
-              \"safe_fraction\": %.3f}%s\n"
-             r.a_label r.a_queries r.a_safe r.a_fails r.a_unknown r.a_skipped
-             (float_of_int r.a_safe
-             /. Float.max (float_of_int r.a_queries) 1.0)
-             (if i = m - 1 then "" else ",")))
-      !admission_runs;
-    Buffer.add_string buf "  }"
-  end;
-  if !latency_runs <> [] then begin
-    Buffer.add_string buf ",\n  \"latency\": {\n";
-    let m = List.length !latency_runs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: {\"answers\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \
-              \"p99_ms\": %.3f, \"max_ms\": %.3f, \"store_bytes\": %d}%s\n"
-             r.l_label r.l_count r.l_p50_ms r.l_p90_ms r.l_p99_ms r.l_max_ms
-             r.l_store_bytes
-             (if i = m - 1 then "" else ",")))
-      !latency_runs;
-    Buffer.add_string buf "  }"
-  end;
-  if !views_runs <> [] then begin
-    Buffer.add_string buf ",\n  \"views\": {\n";
-    let m = List.length !views_runs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: {\"noviews_ms\": %.2f, \"views_ms\": %.2f, \
-              \"speedup\": %.2f, \"materialize_ms\": %.2f, \"selected\": %d, \
-              \"candidates\": %d, \"bytes\": %d, \"hits\": %d, \
-              \"misses\": %d}%s\n"
-             r.v_label r.v_noviews_ms r.v_views_ms
-             (r.v_noviews_ms /. Float.max r.v_views_ms 1e-9)
-             r.v_materialize_ms r.v_selected r.v_candidates r.v_bytes r.v_hits
-             r.v_misses
-             (if i = m - 1 then "" else ",")))
-      !views_runs;
-    Buffer.add_string buf "  }"
-  end;
-  if !serve_runs <> [] then begin
-    Buffer.add_string buf ",\n  \"serve\": {\n";
-    let m = List.length !serve_runs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    %S: {\"clients\": %d, \"requests\": %d, \"errors\": %d, \
-              \"writes\": %d, \"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": \
-              %.3f}%s\n"
-             r.sv_label r.sv_clients r.sv_requests r.sv_errors r.sv_writes
-             r.sv_qps r.sv_p50_ms r.sv_p99_ms
-             (if i = m - 1 then "" else ",")))
-      !serve_runs;
-    Buffer.add_string buf "  }"
-  end;
-  (let gc = Gc.quick_stat () in
-   Buffer.add_string buf
-     (Printf.sprintf
-        ",\n  \"gc\": {\"minor_collections\": %d, \"major_collections\": %d, \
-         \"heap_words\": %d}"
-        gc.Gc.minor_collections gc.Gc.major_collections gc.Gc.heap_words));
-  if Sys.file_exists "BENCH_engine_baseline.json" then begin
-    Buffer.add_string buf ",\n  \"baseline\": ";
-    Buffer.add_string buf (String.trim (read_file "BENCH_engine_baseline.json"))
-  end;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n[bechamel] wrote BENCH_engine.json (%d benchmarks)\n%!" n
-
-(* Returns the measured [(results, scaling)] instead of writing them: the
-   driver runs this *before* the in-process experiments (whose datasets
-   and caches grow the major heap enough to visibly tax the timings) and
-   writes BENCH_engine.json at the very end, once the experiment sections
-   are filled. *)
-let bechamel_suite ctx =
-  header "Bechamel micro-benchmarks (one per table/figure)";
-  let ds = Lazy.force ctx.lubm_s in
-  let sys = Lazy.force ds.pg_system in
-  let q1 = List.assoc "Q01" ds.queries in
-  let reformulate = cached_reformulate ds in
-  let open Bechamel in
-  let open_type_atom =
-    Bgp.atom (Bgp.Var "x") (Bgp.Const Rdf.Vocab.rdf_type) (Bgp.Var "y")
-  in
-  let j_best = Jucq.make ~reformulate q1 [ [ 0; 2 ]; [ 1 ] ] in
-  let j_ucq = Jucq.make ~reformulate q1 (Jucq.ucq_cover q1) in
-  let ex = Rqa.Answering.engine sys in
-  let sat_ex = Rqa.Answering.saturated_engine sys in
-  let q28 = List.assoc "Q28" ds.queries in
-  let dblp = Lazy.force ctx.dblp in
-  let q10 = List.assoc "Q10" dblp.queries in
-  let tests =
-    [
-      (* Table 1: per-triple reformulation counting, through the tier-1
-         memo (the production path; counting without any memoization is
-         table4's cold-reformulation benchmark) *)
-      Test.make ~name:"table1/atom_count"
-        (Staged.stage (fun () -> cached_atom_count ds open_type_atom));
-      (* Table 2: evaluating the best grouping of q1 *)
-      Test.make ~name:"table2/eval_best_jucq"
-        (Staged.stage (fun () -> Engine.Executor.eval_jucq ex j_best));
-      (* Table 3: sizing the q2 reformulation without building it *)
-      Test.make ~name:"table3/q28_product_bound"
-        (Staged.stage (fun () ->
-             Reformulation.Reformulate.count_product_bound ds.reformulator q28));
-      (* Table 4: reformulating a mid-size query, cold cache *)
-      Test.make ~name:"table4/reformulate_q02"
-        (Staged.stage
-           (let q2 = List.assoc "Q02" ds.queries in
-            fun () ->
-              let fresh =
-                Reformulation.Reformulate.create Workloads.Lubm.schema
-              in
-              Reformulation.Reformulate.reformulate fresh q2));
-      (* Figures 4-6: flat-UCQ evaluation, the baseline being optimized *)
-      Test.make ~name:"fig4-6/eval_ucq_jucq"
-        (Staged.stage (fun () -> Engine.Executor.eval_jucq ex j_ucq));
-      (* Figures 7-8: the two search algorithms *)
-      Test.make ~name:"fig7-8/gcov_search"
-        (Staged.stage (fun () ->
-             Rqa.Gcov.search (Rqa.Answering.objective sys q1)));
-      Test.make ~name:"fig7-8/cover_enumeration_q10"
-        (Staged.stage (fun () ->
-             Rqa.Cover_space.enumerate
-               ~budget:
-                 { Rqa.Cover_space.max_covers = 2_000; max_millis = 500.0 }
-               q10));
-      (* Figure 9: the two cost oracles *)
-      Test.make ~name:"fig9/paper_cost_model"
-        (Staged.stage
-           (let cm = Rqa.Answering.cost_model sys in
-            fun () -> Rqa.Cost_model.jucq_cost cm j_best));
-      Test.make ~name:"fig9/engine_explain"
-        (Staged.stage (fun () -> Engine.Executor.explain_cost ex j_best));
-      (* Figure 10: saturation-based evaluation *)
-      Test.make ~name:"fig10/saturated_eval"
-        (Staged.stage (fun () -> Engine.Executor.eval_cq sat_ex q1));
-    ]
-  in
-  (* Exercise the jobs-sensitive evaluation paths once at the width about
-     to be measured, so no run pays cold plan/statistics caches — and the
-     memoized paths (tier-1 atom counts, tier-2 cover costs) once, so the
-     first width measured doesn't bill the one-off cache fill the later
-     widths inherit. *)
-  let warm () =
-    ignore (Engine.Executor.eval_jucq ex j_best);
-    ignore (Engine.Executor.eval_jucq ex j_ucq);
-    ignore (Engine.Executor.eval_cq sat_ex q1);
-    ignore (cached_atom_count ds open_type_atom);
-    ignore (Rqa.Gcov.search (Rqa.Answering.objective sys q1))
-  in
-  let benchmark ~at_jobs test =
-    Par.set_jobs at_jobs;
-    let effective = Par.jobs (Par.get ()) in
-    warm ();
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-    in
-    let raw =
-      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ])
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    let acc = ref [] in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-            Printf.printf "%-36s %14.1f ns/run  (jobs=%d effective=%d)\n%!"
-              name est at_jobs effective;
-            (* drop the grouping prefix ("g/") for the JSON keys *)
-            let key =
-              match String.index_opt name '/' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name
-            in
-            acc := (key, est) :: !acc
-        | _ -> Printf.printf "%-36s (no estimate)\n%!" name)
-      results;
-    !acc
-  in
-  let jobs = ctx.cfg.jobs in
-  (* Each benchmark runs once per scaling level (jobs=1 first), then at the
-     configured width when that isn't among them.  The jobs=1 estimate is
-     [ns_seq], the configured-width one is [ns], and the whole ladder goes
-     to the "scaling" section. *)
-  let scaling_levels = [ 1; 2; 4 ] in
-  let results, scaling =
-    List.fold_left
-      (fun (racc, sacc) test ->
-        let seq = benchmark ~at_jobs:1 test in
-        let ladder =
-          List.map
-            (fun j -> (j, if j = 1 then seq else benchmark ~at_jobs:j test))
-            scaling_levels
-        in
-        let par =
-          if jobs <= 1 then seq
-          else
-            match List.assoc_opt jobs ladder with
-            | Some r -> r
-            | None -> benchmark ~at_jobs:jobs test
-        in
-        let rrows =
-          List.filter_map
-            (fun (key, ns_seq) ->
-              Option.map
-                (fun ns -> (key, ns, ns_seq))
-                (List.assoc_opt key par))
-            seq
-        in
-        let srows =
-          List.filter_map
-            (fun (key, _) ->
-              let per =
-                List.filter_map
-                  (fun (j, r) ->
-                    Option.map (fun ns -> (j, ns)) (List.assoc_opt key r))
-                  ladder
-              in
-              if per = [] then None else Some (key, per))
-            seq
-        in
-        (racc @ rrows, sacc @ srows))
-      ([], []) tests
-  in
-  Par.set_jobs jobs;
-  (results, scaling)
-
 (* ---------- main ---------- *)
 
 let () =
@@ -1541,11 +676,6 @@ let () =
   let ctx = build_ctx cfg in
   let run id f = if List.mem id cfg.experiments then f ctx in
   let t0 = now_ms () in
-  (* Micro-benchmarks first, on a quiet heap; the JSON write waits until
-     the experiments below have filled their sections. *)
-  let bechamel_measured =
-    if cfg.bechamel then Some (bechamel_suite ctx) else None
-  in
   run "table1" table1;
   run "table2" table2;
   run "table3" table3;
@@ -1560,13 +690,4 @@ let () =
   run "ablations" ablations;
   run "minimization" minimization;
   run "workload" workload_driver;
-  run "cache" cache_experiment;
-  run "admission" admission_experiment;
-  run "latency" latency_experiment;
-  run "views" views_experiment;
-  run "serve" serve_experiment;
-  (match bechamel_measured with
-  | Some (results, scaling) ->
-      write_bench_json ~scale:cfg.scale ~jobs:cfg.jobs ~scaling results
-  | None -> ());
   Printf.printf "\n[bench] done in %.1f s\n" ((now_ms () -. t0) /. 1000.0)

@@ -121,9 +121,20 @@ let read_file path =
 let resolve_query workload_query query_string query_file =
   match (workload_query, query_string, query_file) with
   | Some wq, _, _ -> (
+      let lookup queries schema name =
+        match List.assoc_opt name queries with
+        | Some q -> Ok (q, Some schema)
+        | None ->
+            Error
+              (Printf.sprintf "unknown workload query %s (known: %s–%s)" wq
+                 (fst (List.hd queries))
+                 (fst (List.hd (List.rev queries))))
+      in
       match String.split_on_char ':' wq with
-      | [ "lubm"; name ] -> Ok (Workloads.Lubm.query name, Some Workloads.Lubm.schema)
-      | [ "dblp"; name ] -> Ok (Workloads.Dblp.query name, Some Workloads.Dblp.schema)
+      | [ "lubm"; name ] ->
+          lookup Workloads.Lubm.queries Workloads.Lubm.schema name
+      | [ "dblp"; name ] ->
+          lookup Workloads.Dblp.queries Workloads.Dblp.schema name
       | _ -> Error ("bad workload query (want lubm:QNN or dblp:QNN): " ^ wq))
   | None, Some s, _ -> (
       try Ok (Query.Sparql.parse s, None)
@@ -828,8 +839,7 @@ let check_cmd =
     Rdf.Graph.schema g
   in
   let run query_file workload wq qs data strict machine codes cost budget
-      profile trace trace_out jobs =
-    apply_jobs jobs;
+      profile trace trace_out =
     if codes then
       List.iter
         (fun (code, doc) ->
@@ -1018,7 +1028,7 @@ let check_cmd =
     Term.(
       const run $ query_file_pos $ workload $ workload_query_arg
       $ query_string_arg $ data $ strict $ machine $ codes $ cost $ budget
-      $ engine_arg $ trace_flag_arg $ trace_out_arg $ jobs_arg)
+      $ engine_arg $ trace_flag_arg $ trace_out_arg)
 
 (* ---------- stats ---------- *)
 

@@ -199,47 +199,122 @@ let test_answer_tier_lifecycle () =
     (Engine.Relation.rows r1.Rqa.Answering.answers + 1)
     (Engine.Relation.rows r3.Rqa.Answering.answers)
 
-(* ---- warm ≡ cold across engine profiles and strategies ---- *)
+(* ---- warm ≡ cold across engine profiles and strategies ----
+
+   Three passes per (input, engine profile) over every (strategy, query):
+   cold, warm (served by the answer tier) and answers-off (served by the
+   reformulation and cover tiers, with real execution).  All three must
+   agree bit-for-bit on decoded rows, covers, reformulation sizes and
+   search effort.  The warm pass must never miss tier 3; the answers-off
+   pass must never miss tiers 1-2 and must hit tier 2 exactly as often as
+   the cold pass probed it (data did not move, so every cover cost the
+   cold pass computed is still there). *)
+
+(* ECov's wall-clock budget is disabled: a time budget can trip at a
+   different cover on the cold and the warm cost caches. *)
+let bounded_ecov =
+  Rqa.Answering.Ecov { Rqa.Cover_space.max_covers = 64; max_millis = infinity }
+
+let lubm_1 =
+  lazy (Workloads.Lubm.generate { Workloads.Lubm.universities = 1 })
+
+let dblp_2000 =
+  lazy (Workloads.Dblp.generate { Workloads.Dblp.publications = 2000 })
+
+let warm_cold_inputs =
+  [
+    ( "toy",
+      fresh_store,
+      [
+        Rqa.Answering.Saturation;
+        Rqa.Answering.Ucq;
+        Rqa.Answering.Scq;
+        bounded_ecov;
+        Rqa.Answering.Gcov;
+      ],
+      [ ("q_type_b", q_type_b); ("q_join", q_join) ] );
+    ( "lubm-1",
+      (fun () -> Lazy.force lubm_1),
+      [ bounded_ecov; Rqa.Answering.Gcov ],
+      Workloads.Lubm.queries );
+    ( "dblp-2000",
+      (fun () -> Lazy.force dblp_2000),
+      [ Rqa.Answering.Gcov ],
+      Workloads.Dblp.queries );
+  ]
+
+let outcome sys strat q =
+  match Rqa.Answering.answer sys strat q with
+  | r ->
+      let ex =
+        match strat with
+        | Rqa.Answering.Saturation -> Rqa.Answering.saturated_engine sys
+        | _ -> Rqa.Answering.engine sys
+      in
+      Ok
+        ( Engine.Executor.decode ex r.Rqa.Answering.answers,
+          r.Rqa.Answering.cover,
+          r.Rqa.Answering.union_terms,
+          r.Rqa.Answering.fragment_terms,
+          r.Rqa.Answering.covers_explored )
+  | exception Engine.Profile.Engine_failure { reason; _ } ->
+      Error (Engine.Profile.failure_to_string reason)
 
 let test_warm_equals_cold_all_profiles () =
-  let strategies =
-    [
-      Rqa.Answering.Saturation;
-      Rqa.Answering.Ucq;
-      Rqa.Answering.Scq;
-      Rqa.Answering.Ecov
-        { Rqa.Cover_space.max_covers = 64; max_millis = 100.0 };
-      Rqa.Answering.Gcov;
-    ]
-  in
   List.iter
-    (fun profile ->
-      let sys = Rqa.Answering.make ~profile (fresh_store ()) in
-      let ex = Rqa.Answering.engine sys in
+    (fun (input, store, strategies, queries) ->
       List.iter
-        (fun strat ->
-          List.iter
-            (fun q ->
-              let cold = Rqa.Answering.answer sys strat q in
-              let warm = Rqa.Answering.answer sys strat q in
-              let label =
-                Printf.sprintf "%s/%s" profile.Engine.Profile.name
-                  (Rqa.Answering.strategy_name strat)
-              in
-              Alcotest.(check bool) (label ^ " answers") true
-                (Engine.Executor.decode ex cold.Rqa.Answering.answers
-                = Engine.Executor.decode ex warm.Rqa.Answering.answers);
-              Alcotest.(check bool) (label ^ " metadata") true
-                (cold.Rqa.Answering.cover = warm.Rqa.Answering.cover
-                && cold.Rqa.Answering.union_terms
-                   = warm.Rqa.Answering.union_terms
-                && cold.Rqa.Answering.fragment_terms
-                   = warm.Rqa.Answering.fragment_terms
-                && cold.Rqa.Answering.covers_explored
-                   = warm.Rqa.Answering.covers_explored))
-            [ q_type_b; q_join ])
-        strategies)
-    Engine.Profile.all
+        (fun profile ->
+          let sys = Rqa.Answering.make ~profile (store ()) in
+          let cache = Rqa.Answering.cache sys in
+          Cache.set_mode cache Cache.On;
+          let label = input ^ " " ^ profile.Engine.Profile.name in
+          let pass () =
+            List.concat_map
+              (fun strat ->
+                List.map
+                  (fun (qname, q) ->
+                    ( Printf.sprintf "%s/%s %s" label
+                        (Rqa.Answering.strategy_name strat)
+                        qname,
+                      outcome sys strat q ))
+                  queries)
+              strategies
+          in
+          let check_pass which expected got =
+            List.iter2
+              (fun (label, e) (_, g) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %s = cold" label which)
+                  true (e = g))
+              expected got
+          in
+          let tier_delta tier (before : Cache.stats) (after : Cache.stats) =
+            ( (tier after).Cache.hits - (tier before).Cache.hits,
+              (tier after).Cache.misses - (tier before).Cache.misses )
+          in
+          let t1 (s : Cache.stats) = s.Cache.reformulation
+          and t2 (s : Cache.stats) = s.Cache.cover
+          and t3 (s : Cache.stats) = s.Cache.answer in
+          let s0 = Cache.stats cache in
+          let cold = pass () in
+          let s1 = Cache.stats cache in
+          check_pass "warm" cold (pass ());
+          let s2 = Cache.stats cache in
+          Alcotest.(check int) (label ^ ": warm tier-3 misses") 0
+            (snd (tier_delta t3 s1 s2));
+          Cache.set_mode cache Cache.Answers_off;
+          check_pass "answers-off" cold (pass ());
+          let s3 = Cache.stats cache in
+          Alcotest.(check int) (label ^ ": answers-off tier-1 misses") 0
+            (snd (tier_delta t1 s2 s3));
+          let cold_hits, cold_misses = tier_delta t2 s0 s1 in
+          Alcotest.(check (pair int int))
+            (label ^ ": answers-off tier-2 (hits, misses) = cold probes")
+            (cold_hits + cold_misses, 0)
+            (tier_delta t2 s2 s3))
+        Engine.Profile.all)
+    warm_cold_inputs
 
 (* ---- differential property: mutated store = rebuilt store ----
 
@@ -408,7 +483,7 @@ let () =
       ( "answers",
         [
           Alcotest.test_case "warm = cold, all profiles and strategies"
-            `Quick test_warm_equals_cold_all_profiles;
+            `Slow test_warm_equals_cold_all_profiles;
         ] );
       ("differential", qcheck_cases);
     ]

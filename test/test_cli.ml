@@ -451,6 +451,22 @@ let test_bad_arguments () =
   in
   Alcotest.(check int) "missing query rejected" 2 code
 
+let test_unknown_workload_query () =
+  let data = Lazy.force data_file in
+  List.iter
+    (fun args ->
+      let code, body = run_capture args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (args ^ ": no uncaught exception") false
+        (contains body "Fatal error");
+      Alcotest.(check bool) (args ^ ": names the known range") true
+        (contains body "unknown workload query"
+        && contains body "known: Q01"))
+    [
+      Printf.sprintf "query -d %s --workload-query lubm:Q99" data;
+      "check --workload-query dblp:Q99";
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -490,5 +506,7 @@ let () =
           Alcotest.test_case "query --metrics --repeat" `Quick
             test_query_metrics_and_repeat;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "unknown workload query exits 2" `Quick
+            test_unknown_workload_query;
         ] );
     ]

@@ -200,6 +200,82 @@ let soundness_tests =
         [ 1; 4 ])
     Engine.Profile.all
 
+(* ---- admission tallies ----
+
+   How much of each workload the static analyzer decides before
+   execution: per engine profile, the verdict on every template's
+   SCQ-cover JUCQ (the statement [rdfqa check --cost] admits).  A
+   template whose SCQ fragments provably exceed the profile's union
+   capacity is skipped, as the CLI's RF001 skip does.  The counts are
+   deterministic, so they are pinned exactly: a precision change in the
+   analyzer shows up here as a changed tally. *)
+
+type tally = { safe : int; fails : int; unknown : int; skipped : int }
+
+let admission_tally profile (_, store, refm, queries) =
+  let refm = Lazy.force refm in
+  let ex = Engine.Executor.create ~profile (Lazy.force store) in
+  let oracle = Engine.Executor.cost_oracle ex in
+  let capacity = profile.Engine.Profile.max_union_terms in
+  List.fold_left
+    (fun t (_, q) ->
+      let q = Bgp.normalize q in
+      let cover = Jucq.scq_cover q in
+      let too_large =
+        List.exists
+          (fun f ->
+            Reformulate.count_product_bound refm (Jucq.cover_query q cover f)
+            > capacity)
+          cover
+      in
+      if too_large then { t with skipped = t.skipped + 1 }
+      else
+        match
+          Jucq.make ~reformulate:(Reformulate.reformulate refm) q cover
+        with
+        | j -> (
+            match CV.verdict oracle (CV.Jucq j) with
+            | CV.Safe -> { t with safe = t.safe + 1 }
+            | CV.Fails -> { t with fails = t.fails + 1 }
+            | CV.Unknown -> { t with unknown = t.unknown + 1 })
+        | exception Reformulate.Too_large _ ->
+            { t with skipped = t.skipped + 1 })
+    { safe = 0; fails = 0; unknown = 0; skipped = 0 }
+    queries
+
+(* (workload, profile) -> tally on the LUBM-1 and DBLP-2000 fixtures *)
+let pinned_tallies =
+  let t safe unknown = { safe; fails = 0; unknown; skipped = 0 } in
+  [
+    (("lubm", "postgres-like"), t 20 8);
+    (("lubm", "db2-like"), t 20 8);
+    (("lubm", "mysql-like"), t 24 4);
+    (("dblp", "postgres-like"), t 4 6);
+    (("dblp", "db2-like"), t 4 6);
+    (("dblp", "mysql-like"), t 5 5);
+  ]
+
+let test_admission_tallies () =
+  List.iter
+    (fun ((wl, _, _, queries) as w) ->
+      List.iter
+        (fun profile ->
+          let pname = profile.Engine.Profile.name in
+          let label = wl ^ " " ^ pname in
+          let t = admission_tally profile w in
+          Alcotest.(check int) (label ^ ": provably fails") 0 t.fails;
+          Alcotest.(check int)
+            (label ^ ": every template counted")
+            (List.length queries)
+            (t.safe + t.fails + t.unknown + t.skipped);
+          let pinned = List.assoc (wl, pname) pinned_tallies in
+          Alcotest.(check (list int))
+            (label ^ ": safe/unknown/skipped")
+            [ pinned.safe; pinned.unknown; pinned.skipped ]
+            [ t.safe; t.unknown; t.skipped ])
+        Engine.Profile.all)
+    workloads
+
 (* ---- mutation self-tests: each CB code fires ---- *)
 
 let u s = Rdf.Term.uri s
@@ -439,6 +515,11 @@ let () =
   Alcotest.run "cost"
     [
       ("soundness", soundness_tests);
+      ( "admission",
+        [
+          Alcotest.test_case "SCQ verdict tallies per profile" `Quick
+            test_admission_tallies;
+        ] );
       ( "mutations",
         [
           Alcotest.test_case "CB001 provably over budget" `Quick test_cb001;
