@@ -35,7 +35,7 @@ type ecq = {
   head : slot array;
   atoms : eatom array;
   prop_codes : int option array;  (* constant property code per atom, if any *)
-  labels : string array;  (* rendered source atoms, for traces/EXPLAIN *)
+  body : Bgp.atom array;  (* source atoms, rendered only for traces/EXPLAIN *)
 }
 
 type plan = {
@@ -123,12 +123,19 @@ let charge t n =
   if t.ops > t.profile.Profile.max_operations then
     fail t (Profile.Operation_budget { limit = t.profile.Profile.max_operations })
 
-let check_materialization t rel =
-  let rows = Relation.rows rel in
+(* The materialization ceiling, checked against a row count: the rows a
+   union has emitted so far, or a materialized result's size. *)
+let check_rows t rows =
   if rows > t.profile.Profile.max_materialized_rows then
     fail t
       (Profile.Materialization_overflow
          { rows; limit = t.profile.Profile.max_materialized_rows })
+
+(* The set-semantics epilogue every union shares: one unit per pre-dedup
+   row the sink saw, then its distinct rows. *)
+let close_sink t sink =
+  charge t (Relation.emitted sink);
+  Relation.contents sink
 
 (* ---- charge logs (record-and-replay) ----
 
@@ -210,11 +217,11 @@ let compile t (q : Bgp.t) : ecq =
     | Bgp.Var v -> V (index v)
     | Bgp.Const c -> K (Rdf.Dictionary.encode (Es.dictionary t.store) c)
   in
+  let body = Array.of_list q.body in
   let atoms =
-    Array.of_list
-      (List.map
-         (fun (a : Bgp.atom) -> { es = slot a.s; ep = slot a.p; eo = slot a.o })
-         q.body)
+    Array.map
+      (fun (a : Bgp.atom) -> { es = slot a.s; ep = slot a.p; eo = slot a.o })
+      body
   in
   let prop_codes =
     Array.map (fun a -> match a.ep with K c -> Some c | V _ -> None) atoms
@@ -224,7 +231,7 @@ let compile t (q : Bgp.t) : ecq =
     head = Array.of_list (List.map head_slot q.head);
     atoms;
     prop_codes;
-    labels = Array.of_list (List.map atom_label q.body);
+    body;
   }
 
 (* Interning is idempotent and append-only: terms already in the data keep
@@ -359,8 +366,7 @@ let fresh_counters natoms =
 (* [?charge] lets snapshot recording substitute a charge log (above) for
    the engine's budget meter.  The default is the real [charge t] — live
    evaluation pays one indirect call per charge and nothing else. *)
-let exec_cq t ?counters ?charge:charge_sink (p : plan)
-    ~(emit : int array -> unit) =
+let exec_cq t ?counters ?charge:charge_sink (p : plan) ~sink =
   let ch = match charge_sink with Some f -> f | None -> charge t in
   let cq = p.pcq in
   let bindings = Array.make (max 1 cq.nvars) (-1) in
@@ -385,7 +391,7 @@ let exec_cq t ?counters ?charge:charge_sink (p : plan)
           | V v -> Array.unsafe_get bindings v)
       done;
       ch 1;
-      emit head_buf
+      Relation.emit sink head_buf 0
     end
     else begin
       let a = cq.atoms.(order.(k)) in
@@ -555,7 +561,7 @@ let attach_scan_chain (p : plan) ctr parent =
     else begin
       let node =
         Obs.Op_stats.make
-          ~label:p.pcq.labels.(p.porder.(k))
+          ~label:(atom_label p.pcq.body.(p.porder.(k)))
           ~est_rows:p.pest.(k) Obs.Op_stats.Index_scan
       in
       node.Obs.Op_stats.rows_in <- ctr.scanned.(k);
@@ -574,14 +580,14 @@ let attach_scan_chain (p : plan) ctr parent =
 (* [exec_cq] with the scan chain attached under [stats] — even when the
    statement dies mid-pipeline, so failed statements keep a partial
    EXPLAIN.  With [stats = None] this is exactly [exec_cq]. *)
-let exec_cq_traced t ?stats p ~emit =
+let exec_cq_traced t ?stats p ~sink =
   match stats with
-  | None -> exec_cq t p ~emit
+  | None -> exec_cq t p ~sink
   | Some parent ->
       let ctr = fresh_counters (max 1 (Array.length p.porder)) in
       Fun.protect
         ~finally:(fun () -> attach_scan_chain p ctr parent)
-        (fun () -> exec_cq t ~counters:ctr p ~emit)
+        (fun () -> exec_cq t ~counters:ctr p ~sink)
 
 (* ---- materialized fragment snapshots (the view tier's execution half) ----
 
@@ -641,37 +647,22 @@ let prepare_fragment t (u : Ucq.t) = ignore (ucq_plans t u)
    off. *)
 let record_fragment t (u : Ucq.t) =
   let plans = ucq_plans t u in
-  let n = Array.length plans in
-  let out = Relation.create ~cols:(Ucq.arity u) in
-  let logs = Array.init n (fun _ -> charge_log ()) in
-  let cum = Array.make n 0 in
+  let sink = Relation.sink ~cols:(Ucq.arity u) in
+  let logs = Array.map (fun _ -> charge_log ()) plans in
+  let cum = Array.make (Array.length plans) 0 in
   Array.iteri
     (fun i p ->
-      (match p with
-      | None -> ()
-      | Some p ->
-          exec_cq t
-            ~charge:(record logs.(i))
-            p
-            ~emit:(fun row -> Relation.append out row));
-      cum.(i) <- Relation.rows out)
+      Option.iter (fun p -> exec_cq t ~charge:(record logs.(i)) p ~sink) p;
+      cum.(i) <- Relation.emitted sink)
     plans;
   {
     fs_terms = Ucq.cardinal u;
     fs_arity = Ucq.arity u;
     fs_logs = logs;
     fs_cum = cum;
-    fs_pre = Relation.rows out;
-    fs_rel = Relation.dedup out;
+    fs_pre = Relation.emitted sink;
+    fs_rel = Relation.contents sink;
   }
-
-(* Count-only materialization ceiling check: what [check_materialization]
-   would have said about a relation a replay does not rebuild. *)
-let check_rows t rows =
-  if rows > t.profile.Profile.max_materialized_rows then
-    fail t
-      (Profile.Materialization_overflow
-         { rows; limit = t.profile.Profile.max_materialized_rows })
 
 (* Replays a snapshot on a using engine, mirroring [eval_ucq_fragment]
    observable for observable: the union-capacity pre-check with the using
@@ -699,7 +690,7 @@ let eval_cq t (q : Bgp.t) =
   admit ~context:"executor/cq" t (Analysis.Cost_verify.Cq q);
   Obs.Span.with_ "exec.cq" @@ fun sp ->
   let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(List.length q.Bgp.head) in
+  let sink = Relation.sink ~cols:(List.length q.Bgp.head) in
   let root =
     if tr then
       Some (Obs.Op_stats.make ~label:(Bgp.to_string q) Obs.Op_stats.Cq)
@@ -707,11 +698,9 @@ let eval_cq t (q : Bgp.t) =
   in
   (match plan_of t q with
   | None -> ()
-  | Some p ->
-      exec_cq_traced t ?stats:root p ~emit:(fun row -> Relation.append out row));
-  let pre = Relation.rows out in
-  let result = Relation.dedup out in
-  charge t pre;
+  | Some p -> exec_cq_traced t ?stats:root p ~sink);
+  let pre = Relation.emitted sink in
+  let result = close_sink t sink in
   (match root with
   | None -> ()
   | Some node ->
@@ -736,18 +725,17 @@ let eval_cq t (q : Bgp.t) =
 (* ---- UCQ execution ---- *)
 
 (* Fragment epilogue: charge one unit per accumulated pre-dedup row,
-   deduplicate, enforce the materialization ceiling, and (when tracing)
-   close the fragment's op-stats subtree — a Dedup root over the Union
-   node. *)
-let fragment_epilogue t ~label (u : Ucq.t) union_node out =
-  charge t (Relation.rows out);
-  let result = Relation.dedup out in
-  check_materialization t result;
+   enforce the materialization ceiling on the distinct rows, and (when
+   tracing) close the fragment's op-stats subtree — a Dedup root over the
+   Union node. *)
+let fragment_epilogue t ~label (u : Ucq.t) union_node sink =
+  let result = close_sink t sink in
+  check_rows t (Relation.rows result);
   match union_node with
   | None -> (result, None)
   | Some un ->
       let est = Store.Statistics.ucq_cardinality t.stats u in
-      let pre = Relation.rows out in
+      let pre = Relation.emitted sink in
       let rows = Relation.rows result in
       un.Obs.Op_stats.rows_out <- pre;
       un.Obs.Op_stats.est_rows <- est;
@@ -777,8 +765,7 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
       (Profile.Union_capacity
          { terms; limit = t.profile.Profile.max_union_terms });
   let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(Ucq.arity u) in
-  let emit row = Relation.append out row in
+  let sink = Relation.sink ~cols:(Ucq.arity u) in
   let union_node =
     if tr then
       Some
@@ -794,9 +781,9 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
       | None -> ()
       | Some p -> (
           match union_node with
-          | None -> exec_cq t p ~emit
+          | None -> exec_cq t p ~sink
           | Some un ->
-              let before = Relation.rows out in
+              let before = Relation.emitted sink in
               let cq = disjuncts.(i) in
               let est = Store.Statistics.cq_cardinality t.stats cq in
               let cqn =
@@ -804,13 +791,13 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
                   Obs.Op_stats.Cq
               in
               Obs.Op_stats.add_child un cqn;
-              exec_cq_traced t ~stats:cqn p ~emit;
-              cqn.Obs.Op_stats.rows_out <- Relation.rows out - before;
+              exec_cq_traced t ~stats:cqn p ~sink;
+              cqn.Obs.Op_stats.rows_out <- Relation.emitted sink - before;
               Obs.record_estimate ~label:"cq" ~est
                 ~actual:(float_of_int cqn.Obs.Op_stats.rows_out)));
-      check_materialization t out)
+      check_rows t (Relation.emitted sink))
     (ucq_plans t u);
-  fragment_epilogue t ~label u union_node out
+  fragment_epilogue t ~label u union_node sink
 
 let eval_ucq t u =
   begin_statement t;
@@ -848,8 +835,8 @@ let positions columns names =
    multi-fragment join result is usually the larger side, and building on
    it was a classic build-side inversion.  Distinct keys are entries of a
    specialized {!Rowtable}; the build rows sharing a key are chained
-   through a [next] array by row index (the entry's payload int is the
-   chain head).  Whatever the orientation, the output schema stays
+   through a [next] array by row index, from the entry's slot in
+   [heads].  Whatever the orientation, the output schema stays
    [a.columns @ b_only] and the work accounting is unchanged: one unit per
    input row on either side plus one per output row — exactly the charges
    of the always-build-on-[b] implementation, so engine-failure behaviour
@@ -877,6 +864,7 @@ let hash_join ?stats t a b =
     if build_on_b then (a.rel, key_a) else (b.rel, key_b)
   in
   let tbl = Rowtable.create ~width:nkeys ~capacity:(max 16 nbuild) () in
+  let heads = Array.make (max 1 nbuild) (-1) in
   let next = Array.make (max 1 nbuild) (-1) in
   let kbuf = Array.make (max 1 nkeys) 0 in
   let buf = Array.make (na_cols + npay) 0 in
@@ -900,8 +888,8 @@ let hash_join ?stats t a b =
               node.Obs.Op_stats.hash_collisions + 1;
           e
     in
-    next.(i) <- Rowtable.value tbl e;
-    Rowtable.set_value tbl e i
+    next.(i) <- heads.(e);
+    heads.(e) <- i
   done;
   (* Projects one (probe offset, build row) match into a row of [out]. *)
   let emit_pair poff i =
@@ -929,10 +917,10 @@ let hash_join ?stats t a b =
             chase next.(i)
           end
         in
-        chase (Rowtable.value tbl e)
+        chase heads.(e)
       end)
     probe_rel;
-  check_materialization t out;
+  check_rows t (Relation.rows out);
   (match stats with
   | None -> ()
   | Some node ->
@@ -980,7 +968,7 @@ let block_nested_loop_join ?stats t a b =
         end
       done)
     a.rel;
-  check_materialization t out;
+  check_rows t (Relation.rows out);
   (match stats with
   | None -> ()
   | Some node ->
@@ -1190,16 +1178,15 @@ let eval_jucq ?views t (j : Jucq.t) =
       j.Jucq.head
   in
   (* Head projection fused with duplicate elimination: each joined row is
-     projected into [buf] and appended only if its head is new.  The work
-     accounting is that of the former materialize-then-dedup pipeline (one
-     unit per joined row, then one per pre-dedup projected row — the same
-     count), so the same statements fail for the same reasons. *)
+     projected into [buf] and streamed into the sink.  The work accounting
+     is that of the former materialize-then-dedup pipeline (one unit per
+     joined row, then one per pre-dedup projected row — the same count), so
+     the same statements fail for the same reasons. *)
   let head_cols = Array.of_list head_cols in
   let nhead = Array.length head_cols in
   let njoined = Relation.rows joined.rel in
-  let out = Relation.create ~cols:nhead in
+  let sink = Relation.sink ~cols:nhead in
   let buf = Array.make nhead 0 in
-  let seen = Rowtable.create ~width:nhead ~capacity:(max 16 njoined) () in
   Relation.iteri_flat
     (fun _ data off ->
       charge t 1;
@@ -1209,10 +1196,10 @@ let eval_jucq ?views t (j : Jucq.t) =
           | `Col j' -> data.(off + j')
           | `Const code -> code)
       done;
-      if Rowtable.add_if_absent seen buf 0 then Relation.append out buf)
+      Relation.emit sink buf 0)
     joined.rel;
-  charge t njoined;
-  check_materialization t out;
+  let out = close_sink t sink in
+  check_rows t (Relation.rows out);
   if tr then begin
     let pt = function
       | Bgp.Var v -> "?" ^ v

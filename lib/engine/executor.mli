@@ -8,11 +8,13 @@
     - conjunctive queries run as index-nested-loop self-joins over the
       six-way-indexed [Triples] table, with a greedy selectivity-based atom
       order chosen per query — what an RDBMS does with such plans;
-    - UCQs evaluate member CQs into a materialized result followed by
-      hash-based duplicate elimination (set semantics);
-    - JUCQs materialize each fragment UCQ and combine them with the
-      profile's join algorithm (hash join, or MySQL-style block nested
-      loops), then project the original head and deduplicate.
+    - UCQs stream their member CQs' rows through one hash set
+      ({!Relation.sink}) that keeps first occurrences only, like an
+      RDBMS's UNION with streaming hash duplicate elimination (set
+      semantics); the set's key store is the result;
+    - JUCQs materialize each fragment UCQ that way and combine them with
+      the profile's join algorithm (hash join, or MySQL-style block nested
+      loops), then stream the original head's projection through a sink.
 
     All work is metered: every index probe, tuple emission, hash insert and
     comparison counts against the profile's operation budget, and profile

@@ -33,24 +33,11 @@ let row r i =
 
 let unsafe_data r = r.data
 
-let iter f r =
-  for i = 0 to r.nrows - 1 do
-    f (Array.sub r.data (i * r.ncols) r.ncols)
-  done
-
 let iteri_flat f r =
   let w = r.ncols in
   for i = 0 to r.nrows - 1 do
     f i r.data (i * w)
   done
-
-let fold_rows f init r =
-  let w = r.ncols in
-  let acc = ref init in
-  for i = 0 to r.nrows - 1 do
-    acc := f !acc r.data (i * w)
-  done;
-  !acc
 
 let project r columns =
   Array.iter
@@ -65,19 +52,30 @@ let project r columns =
   done;
   out
 
+(* Set semantics by streaming: the table's key store is the result, so no
+   pre-dedup row is ever stored and the distinct rows are never copied. *)
+type sink = { set : Rowtable.t; scols : int; mutable emitted : int }
+
+let sink ~cols =
+  { set = Rowtable.create ~width:cols (); scols = cols; emitted = 0 }
+
+let emit s src off =
+  s.emitted <- s.emitted + 1;
+  ignore (Rowtable.add_if_absent s.set src off)
+
+let emitted s = s.emitted
+
+let contents s =
+  {
+    ncols = s.scols;
+    data = Rowtable.unsafe_keys s.set;
+    nrows = Rowtable.length s.set;
+  }
+
 let dedup r =
-  let out = create ~cols:r.ncols in
-  let seen = Rowtable.create ~width:r.ncols ~capacity:(max 16 r.nrows) () in
-  let w = r.ncols in
-  for i = 0 to r.nrows - 1 do
-    let off = i * w in
-    if Rowtable.add_if_absent seen r.data off then begin
-      ensure_capacity out;
-      Array.blit r.data off out.data (out.nrows * w) w;
-      out.nrows <- out.nrows + 1
-    end
-  done;
-  out
+  let s = sink ~cols:r.ncols in
+  iteri_flat (fun _ data off -> emit s data off) r;
+  contents s
 
 let to_list r =
   let acc = ref [] in

@@ -28,26 +28,40 @@ val unsafe_data : t -> int array
     retained across an [append] (which may reallocate it).  For the
     executor's innermost loops only. *)
 
-val iter : (int array -> unit) -> t -> unit
-(** Iterates rows; the array passed to the callback is fresh per row. *)
-
 val iteri_flat : (int -> int array -> int -> unit) -> t -> unit
 (** [iteri_flat f r] calls [f i data off] for each row [i], where the
     row's values are [data.(off) .. data.(off + cols r - 1)] in the
     relation's backing store — no per-row array is materialized.  The
     callback must not mutate [data] nor retain it across appends to [r]. *)
 
-val fold_rows : ('a -> int array -> int -> 'a) -> 'a -> t -> 'a
-(** [fold_rows f init r] folds [f] over the rows as [(data, offset)]
-    slices, under the same aliasing rules as {!iteri_flat}. *)
-
 val project : t -> int array -> t
 (** [project r cols] keeps the given column indexes, in order. *)
 
+type sink
+(** A set-semantics union under construction: rows are streamed in, only
+    first occurrences are kept (in a specialized {!Rowtable} — open
+    addressing over flat int-row keys, no polymorphic hashing, no per-row
+    boxing), and duplicates are counted but never stored. *)
+
+val sink : cols:int -> sink
+(** An empty sink for rows of [cols] columns.  It starts small and grows
+    by doubling with the distinct rows it keeps. *)
+
+val emit : sink -> int array -> int -> unit
+(** [emit s src off] streams the row [src.(off) .. src.(off + cols - 1)]
+    (copied if new). *)
+
+val emitted : sink -> int
+(** Rows emitted so far, duplicates included (the pre-dedup count). *)
+
+val contents : sink -> t
+(** The distinct rows in first-occurrence order, sharing the sink's
+    storage: nothing is copied, and the sink must not be emitted to
+    afterwards. *)
+
 val dedup : t -> t
-(** Duplicate elimination via a specialized {!Rowtable} (open addressing
-    over flat int-row keys — no polymorphic hashing, no per-row boxing),
-    preserving first occurrences. *)
+(** Duplicate elimination through a {!sink}, preserving first
+    occurrences. *)
 
 val to_list : t -> int array list
 (** All rows, in order. *)

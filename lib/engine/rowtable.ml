@@ -1,4 +1,4 @@
-(* Open-addressing hash table specialized to fixed-width int-row keys.
+(* Open-addressing hash set specialized to fixed-width int-row keys.
 
    Keys are width-[w] slices of int arrays; inserted keys are copied into
    one flat backing array (no per-entry boxing), slots hold entry indexes,
@@ -12,7 +12,6 @@ type t = {
   mutable mask : int;        (* number of slots - 1; slots are a power of two *)
   mutable slots : int array; (* entry index + 1, 0 = empty *)
   mutable keys : int array;  (* entry e's key at [e*width .. e*width+width-1] *)
-  mutable vals : int array;  (* one int of client payload per entry, init -1 *)
   mutable n : int;           (* number of entries *)
 }
 
@@ -26,12 +25,11 @@ let create ~width ?(capacity = 16) () =
     mask = cap - 1;
     slots = Array.make cap 0;
     keys = Array.make (max 1 (capacity * width)) 0;
-    vals = Array.make (max 1 capacity) (-1);
     n = 0;
   }
 
 let length t = t.n
-let width t = t.width
+let unsafe_keys t = t.keys
 
 (* FNV-1a over the key words; the final shift folds the well-mixed high
    bits into the slot index. *)
@@ -45,8 +43,6 @@ let hash width src off =
   done;
   let h = !h in
   h lxor (h lsr 29)
-
-let hash_slice ~width src off = hash width src off
 
 let key_equal t e src off =
   let base = e * t.width in
@@ -81,11 +77,6 @@ let ensure_entry_room t =
     let keys = Array.make (2 * Array.length t.keys) 0 in
     Array.blit t.keys 0 keys 0 (t.n * t.width);
     t.keys <- keys
-  end;
-  if t.n + 1 > Array.length t.vals then begin
-    let vals = Array.make (2 * Array.length t.vals) (-1) in
-    Array.blit t.vals 0 vals 0 t.n;
-    t.vals <- vals
   end
 
 let find_or_add t src off =
@@ -96,7 +87,6 @@ let find_or_add t src off =
   else begin
     let e = t.n in
     Array.blit src off t.keys (e * t.width) t.width;
-    t.vals.(e) <- -1;
     t.slots.(i) <- e + 1;
     t.n <- e + 1;
     e
@@ -109,8 +99,3 @@ let add_if_absent t src off =
 
 let find t src off =
   if t.n = 0 then -1 else t.slots.(probe t src off) - 1
-
-let mem t src off = find t src off >= 0
-
-let value t e = t.vals.(e)
-let set_value t e v = t.vals.(e) <- v

@@ -1,34 +1,31 @@
-(** Open-addressing hash table specialized to fixed-width int-row keys.
+(** Open-addressing hash set specialized to fixed-width int-row keys.
 
     Keys are [width]-wide slices [src.(off) .. src.(off+width-1)] of plain
     [int array]s — relation rows, join keys, projected heads.  Inserted
-    keys are copied into one flat backing array; slots are a power-of-two
-    linear-probing table hashed with FNV-1a over the key words.  No
-    per-entry boxing, no polymorphic hashing, no allocation on lookups or
-    inserts (amortized): the engine's dedup and hash-join paths are built
-    on this.
-
-    Each entry additionally carries one mutable [int] of client payload
-    (initially [-1]); the hash join threads its bucket chains through it. *)
+    keys are copied into one flat backing array, in insertion order;
+    slots are a power-of-two linear-probing table hashed with FNV-1a over
+    the key words.  No per-entry boxing, no polymorphic hashing, no
+    allocation on lookups or inserts (amortized): the engine's dedup sink
+    ({!Relation.sink}) and hash join are built on this.  Entries are dense
+    indexes [0 .. length-1], so a client keeps any per-entry payload in
+    its own array (the hash join's bucket-chain heads). *)
 
 type t
 
 val create : width:int -> ?capacity:int -> unit -> t
 (** A fresh table for keys of [width] ints ([width >= 0]; a zero-width
-    table holds at most one entry, the empty key).  [capacity] is a hint
-    for the number of expected entries. *)
+    table holds at most one entry, the empty key).  [capacity] (default
+    16) is a hint for the number of expected entries; the table grows by
+    doubling past it. *)
 
 val length : t -> int
 (** Number of distinct keys stored. *)
 
-val width : t -> int
-(** Key width, in ints. *)
-
 val find_or_add : t -> int array -> int -> int
 (** [find_or_add t src off] looks up the key slice at [src.(off) ..]; if
-    absent, copies it into the table as a new entry with value [-1].
-    Returns the entry index (dense, insertion-ordered: [0 .. length-1]).
-    Compare {!length} before and after to detect an insert. *)
+    absent, copies it into the table as a new entry.  Returns the entry
+    index (dense, insertion-ordered: [0 .. length-1]).  Compare {!length}
+    before and after to detect an insert. *)
 
 val add_if_absent : t -> int array -> int -> bool
 (** [add_if_absent t src off] inserts the key slice if new and reports
@@ -37,17 +34,9 @@ val add_if_absent : t -> int array -> int -> bool
 val find : t -> int array -> int -> int
 (** The entry index of the key slice, or [-1] if absent.  Never inserts. *)
 
-val mem : t -> int array -> int -> bool
-(** Membership of the key slice. *)
-
-val value : t -> int -> int
-(** [value t e] is entry [e]'s payload int ([-1] until set). *)
-
-val set_value : t -> int -> int -> unit
-(** [set_value t e v] overwrites entry [e]'s payload. *)
-
-val hash_slice : width:int -> int array -> int -> int
-(** The table's own FNV-1a hash of the key slice at [src.(off) ..].  The
-    partitioned operators derive their partition ids from this, so a row
-    lands in the same partition as the table bucket it would probe —
-    deterministic for a given key, independent of jobs count. *)
+val unsafe_keys : t -> int array
+(** The flat key store: entry [e]'s key lives at
+    [e * width .. (e+1) * width - 1], entries in insertion order.  Only
+    the first [length t * width] cells are meaningful.  The array is
+    replaced, not extended, when the table grows, so it must not be
+    retained across an insert that is meant to be seen. *)

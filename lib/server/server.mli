@@ -9,8 +9,9 @@
     [schema_version]/[data_version] pair cannot move under it), every
     [INSERT]/[DELETE] runs inside a write section that drains pinned
     readers first and re-warms the interned vocabulary when the schema
-    moved.  Parallel UCQ/JUCQ evaluation dispatches onto the process-global
-    {!Par} pool exactly as the single-shot CLI does, so answers stay
+    moved.  Connection threads are systhreads of one domain, taking turns
+    on its runtime lock, and each request's UCQ/JUCQ evaluation runs on
+    that one domain exactly as the single-shot CLI's does, so answers stay
     bit-identical to `rdfqa query` for any interleaving — the determinism
     contract under real traffic.
 

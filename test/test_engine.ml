@@ -560,6 +560,37 @@ let prop_dedup_matches_reference =
       rows_of_rel (Engine.Relation.dedup (rel_of_rows ~cols rows))
       = ref_dedup rows)
 
+(* The streaming dedup sink against [Relation.dedup] and the list
+   reference: same distinct rows in the same first-occurrence order,
+   every emitted row counted.  Up to 3,000 rows over a 12-value domain
+   make the sink's slot and key stores grow many times past their
+   initial 16 entries at widths 1 and 3. *)
+let test_sink_matches_dedup () =
+  let rng = Random.State.make [| 23 |] in
+  List.iter
+    (fun cols ->
+      List.iter
+        (fun n ->
+          let rows =
+            List.init n (fun _ ->
+                List.init cols (fun _ -> Random.State.int rng 12))
+          in
+          let sink = Engine.Relation.sink ~cols in
+          List.iter
+            (fun row -> Engine.Relation.emit sink (Array.of_list row) 0)
+            rows;
+          let name = Printf.sprintf "width %d, %d rows" cols n in
+          Alcotest.(check int) (name ^ ": emitted") n
+            (Engine.Relation.emitted sink);
+          let got = rows_of_rel (Engine.Relation.contents sink) in
+          Alcotest.(check (list (list int))) (name ^ ": = dedup")
+            (rows_of_rel (Engine.Relation.dedup (rel_of_rows ~cols rows)))
+            got;
+          Alcotest.(check (list (list int))) (name ^ ": = reference")
+            (ref_dedup rows) got)
+        [ 0; 1; 7; 300; 3000 ])
+    [ 0; 1; 3 ]
+
 let differential_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -608,6 +639,83 @@ let test_profiles_agree_on_lubm () =
             rest)
     Workloads.Lubm.queries
 
+(* Operation totals, answer rows and failures of one cache-off pass over
+   LUBM-1's 28 templates, per profile, under GCov and under UCQ (one
+   whole-query union per template).  Pinned from the materialize-then-
+   dedup executor that preceded the streaming dedup sink: every union now
+   deduplicates as it emits, and these figures must not move. *)
+let lubm1_pins =
+  let cap q n lim =
+    (q, Printf.sprintf "union capacity exceeded (%d terms > %d)" n lim)
+  in
+  [
+    ("postgres-like", (816638, 111373), (7290619, 8303),
+     [ cap "Q18" 106032 100000; cap "Q28" 318096 100000 ]);
+    ("db2-like", (819294, 111373), (744300, 4928),
+     [ cap "Q09" 35344 8000; cap "Q15" 11844 8000; cap "Q18" 106032 8000;
+       cap "Q19" 23688 8000; cap "Q28" 318096 8000 ]);
+    ("mysql-like", (56063053, 111373), (7290619, 8303),
+     [ cap "Q18" 106032 60000; cap "Q28" 318096 60000 ]);
+  ]
+
+let test_lubm1_pass_pinned () =
+  let store = Workloads.Lubm.generate { Workloads.Lubm.universities = 1 } in
+  let queries = Workloads.Lubm.queries in
+  List.iter2
+    (fun (p : Engine.Profile.t) (name, gcov, ucq, ucq_fails) ->
+      Alcotest.(check string) "profile order" name p.Engine.Profile.name;
+      let cache = Cache.create ~mode:Cache.Off store in
+      let sys = Rqa.Answering.make ~profile:p ~cache store in
+      Rqa.Answering.warm_up sys (List.map snd queries);
+      let ex = Rqa.Answering.engine sys in
+      let pass label strategy (ops, rows) fails =
+        let ops0 = Engine.Executor.total_operations ex in
+        let total = ref 0 and failed = ref [] in
+        List.iter
+          (fun (qn, q) ->
+            match Rqa.Answering.answer sys strategy q with
+            | r -> total := !total + Engine.Relation.rows r.Rqa.Answering.answers
+            | exception Engine.Profile.Engine_failure { reason; _ } ->
+                failed := (qn, Engine.Profile.failure_to_string reason) :: !failed)
+          queries;
+        let what = name ^ " " ^ label in
+        Alcotest.(check int) (what ^ " operations") ops
+          (Engine.Executor.total_operations ex - ops0);
+        Alcotest.(check int) (what ^ " rows") rows !total;
+        Alcotest.(check (list (pair string string))) (what ^ " failures") fails
+          (List.rev !failed)
+      in
+      pass "gcov" Rqa.Answering.Gcov gcov [];
+      pass "ucq" Rqa.Answering.Ucq ucq ucq_fails)
+    Engine.Profile.all lubm1_pins
+
+(* A materialization ceiling between a whole-query union's distinct and
+   pre-dedup row counts (Q08: 310 distinct of 88,515 emitted; Q03: 495 of
+   1,480; Q16: 160 of 78,680).  Dedup is no excuse: the per-disjunct check
+   counts emitted rows, so the statement dies on the same disjunct, with
+   the same reported rows and operation total, as when every emitted row
+   was stored before deduplication. *)
+let test_overflow_between_distinct_and_emitted () =
+  let store = Workloads.Lubm.generate { Workloads.Lubm.universities = 1 } in
+  let cache = Cache.create ~mode:Cache.Off store in
+  let profile =
+    { Engine.Profile.postgres_like with Engine.Profile.max_materialized_rows = 1000 }
+  in
+  List.iter
+    (fun (qn, rows, ops) ->
+      let u = Cache.reformulate cache (Workloads.Lubm.query qn) in
+      let ex = Engine.Executor.create ~profile store in
+      match Engine.Executor.eval_ucq ex u with
+      | _ -> Alcotest.fail (qn ^ ": expected a materialization overflow")
+      | exception
+          Engine.Profile.Engine_failure
+            { reason = Engine.Profile.Materialization_overflow r; _ } ->
+          Alcotest.(check (pair int int)) (qn ^ " rows, limit") (rows, 1000)
+            (r.rows, r.limit);
+          Alcotest.(check int) (qn ^ " operations") ops
+            (Engine.Executor.total_operations ex))
+    [ ("Q08", 15300, 31142); ("Q03", 1183, 3564); ("Q16", 3600, 7321) ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -616,6 +724,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_relation_basics;
           Alcotest.test_case "arity check" `Quick test_relation_arity_check;
           Alcotest.test_case "zero arity" `Quick test_relation_zero_arity;
+          Alcotest.test_case "sink = dedup" `Quick test_sink_matches_dedup;
         ] );
       ( "evaluation",
         [
@@ -633,6 +742,10 @@ let () =
           Alcotest.test_case "materialization overflow" `Quick test_materialization_failure;
           Alcotest.test_case "operation budget" `Quick test_operation_budget_failure;
           Alcotest.test_case "operations metered" `Quick test_operations_metered;
+          Alcotest.test_case "overflow between distinct and emitted" `Quick
+            test_overflow_between_distinct_and_emitted;
+          Alcotest.test_case "LUBM-1 cold pass pinned" `Slow
+            test_lubm1_pass_pinned;
         ] );
       ( "plan_cache",
         [
