@@ -77,6 +77,64 @@ let dedup r =
   iteri_flat (fun _ data off -> emit s data off) r;
   contents s
 
+let rec log2 x = if x <= 1 then 0 else 1 + log2 (x lsr 1)
+
+(* An LSD radix sort of the row indexes: stable counting passes over each
+   column's ranks, last column first.  A digit gets about log2(rows) bits,
+   between 8 and 16, so a pass touches about as many buckets as rows, and
+   ranks below 2^16 take one pass per column once a result has as many
+   rows.  Linear in the rows; a comparison sort would pay a closure call
+   per comparison. *)
+let sorted_distinct r ~rank =
+  let w = r.ncols and n = r.nrows in
+  if w = 0 then Array.make (min n 1) 0
+  else begin
+    let key = Array.init (n * w) (fun k -> rank.(r.data.(k))) in
+    let key_bits = 1 + log2 (Array.fold_left Int.max 0 key) in
+    let digit_bits = max 8 (min 16 (log2 n)) in
+    let passes = (key_bits + digit_bits - 1) / digit_bits in
+    let bits = (key_bits + passes - 1) / passes in
+    let mask = (1 lsl bits) - 1 in
+    let count = Array.make (mask + 2) 0 and digit = Array.make n 0 in
+    let idx = ref (Array.init n Fun.id) and tmp = ref (Array.make n 0) in
+    for col = w - 1 downto 0 do
+      for pass = 0 to passes - 1 do
+        let src = !idx and dst = !tmp and shift = pass * bits in
+        Array.fill count 0 (mask + 2) 0;
+        for p = 0 to n - 1 do
+          let d = (key.((src.(p) * w) + col) lsr shift) land mask in
+          digit.(p) <- d;
+          count.(d + 1) <- count.(d + 1) + 1
+        done;
+        for d = 1 to mask + 1 do
+          count.(d) <- count.(d) + count.(d - 1)
+        done;
+        for p = 0 to n - 1 do
+          let d = digit.(p) in
+          dst.(count.(d)) <- src.(p);
+          count.(d) <- count.(d) + 1
+        done;
+        idx := dst;
+        tmp := src
+      done
+    done;
+    let idx = !idx in
+    let same a b =
+      let a = a * w and b = b * w in
+      let rec go k = k = w || (key.(a + k) = key.(b + k) && go (k + 1)) in
+      go 0
+    in
+    let m = ref 0 in
+    Array.iter
+      (fun i ->
+        if !m = 0 || not (same idx.(!m - 1) i) then begin
+          idx.(!m) <- i;
+          incr m
+        end)
+      idx;
+    Array.sub idx 0 !m
+  end
+
 let to_list r =
   let acc = ref [] in
   for i = r.nrows - 1 downto 0 do

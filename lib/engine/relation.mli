@@ -63,5 +63,12 @@ val dedup : t -> t
 (** Duplicate elimination through a {!sink}, preserving first
     occurrences. *)
 
+val sorted_distinct : t -> rank:int array -> int array
+(** [sorted_distinct r ~rank] lists [r]'s row indexes with the rows in
+    ascending lexicographic order of [rank.(cell)], one index per run of
+    equal rows.  [rank] must be injective over the codes [r] holds (a
+    {!Rdf.Dictionary.ranks} snapshot).  A zero-width relation with rows
+    has one distinct row, index [0]. *)
+
 val to_list : t -> int array list
 (** All rows, in order. *)

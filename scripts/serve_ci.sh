@@ -3,7 +3,8 @@
 # drive a scripted client mix against it, and hard-gate three contracts:
 #
 #   1. every read's rows are bit-identical to a single-shot
-#      `rdfqa query` over the same store state (including states reached
+#      `rdfqa query` over the same store state, also when two clients
+#      read at the same time (including states reached
 #      through interleaved INSERT/DELETE of facts and of a schema
 #      constraint — the single-shot side replays the mutation with
 #      --insert);
@@ -103,6 +104,28 @@ for wq in $COLD; do
   reference "$wq" > "$WORK/cold.want"
   check_identical "cold $wq" "$WORK/cold.rows" "$WORK/cold.want"
 done
+
+# --- phase 2b: two concurrent clients ----------------------------------------
+# Two connections read the same templates at the same time, each twice
+# (planned, then answer-tier served).  None was read before, so their rows'
+# wire forms are rendered into the server's shared table while both
+# connection threads use it.  Each client's output must equal the
+# single-shot references concatenated.
+PAR="lubm:Q18 lubm:Q09 lubm:Q13 lubm:Q02"
+: > "$WORK/par.want"
+par_args=()
+for wq in $PAR $PAR; do
+  reference "$wq" >> "$WORK/par.want"
+  par_args+=(--workload-query "$wq")
+done
+client "${par_args[@]}" > "$WORK/par1.rows" 2> /dev/null &
+PAR1=$!
+client "${par_args[@]}" > "$WORK/par2.rows" 2> /dev/null &
+PAR2=$!
+wait "$PAR1" || { echo "serve_ci: FAIL — concurrent client 1 failed" >&2; exit 1; }
+wait "$PAR2" || { echo "serve_ci: FAIL — concurrent client 2 failed" >&2; exit 1; }
+check_identical "concurrent client 1 ($PAR, twice)" "$WORK/par1.rows" "$WORK/par.want"
+check_identical "concurrent client 2 ($PAR, twice)" "$WORK/par2.rows" "$WORK/par.want"
 
 # --- phase 3: interleaved mutation ------------------------------------------
 # INSERT, read, DELETE, read — twice.  The post-insert reference replays

@@ -591,12 +591,136 @@ let test_sink_matches_dedup () =
         [ 0; 1; 7; 300; 3000 ])
     [ 0; 1; 3 ]
 
+(* ---- decode: canonical order by dictionary rank ---- *)
+
+(* The order decode must produce: decode every row, then sort the term
+   rows and drop duplicates. *)
+let reference_decode d rel =
+  List.sort_uniq
+    (List.compare Rdf.Term.compare)
+    (List.map
+       (fun row -> List.map (Rdf.Dictionary.decode d) (Array.to_list row))
+       (Engine.Relation.to_list rel))
+
+(* URIs, literals and blank nodes whose payloads are short words over a
+   three-letter alphabet, so many terms share prefixes and the same
+   payload recurs under different kinds. *)
+let gen_term =
+  QCheck2.Gen.(
+    let* kind = int_bound 2 in
+    let* payload = string_size ~gen:(oneofl [ 'a'; 'b'; '/' ]) (int_bound 4) in
+    return
+      (match kind with
+      | 0 -> Rdf.Term.uri ("http://x/" ^ payload)
+      | 1 -> Rdf.Term.literal payload
+      | _ -> Rdf.Term.bnode payload))
+
+let prop_decode_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"decode = sort_uniq of row-by-row decode"
+    QCheck2.Gen.(
+      let* filler = int_bound 600 in
+      let* terms = list_size (int_range 1 20) gen_term in
+      let* cols = int_bound 4 in
+      let* rows =
+        list_size (int_bound 40)
+          (list_size (return cols) (int_bound (List.length terms - 1)))
+      in
+      return (filler, terms, cols, rows))
+    (fun (filler, terms, cols, rows) ->
+      let store = Store.Encoded_store.create schema in
+      let d = Store.Encoded_store.dictionary store in
+      (* up to 600 unused values first, so ranks may need two radix digits *)
+      for i = 1 to filler do
+        ignore (Rdf.Dictionary.encode d (u (Printf.sprintf "http://f/%d" i)))
+      done;
+      let codes = Array.of_list (List.map (Rdf.Dictionary.encode d) terms) in
+      let rel =
+        rel_of_rows ~cols (List.map (List.map (fun i -> codes.(i))) rows)
+      in
+      let ex = Engine.Executor.create store in
+      Engine.Executor.decode ex rel = reference_decode d rel)
+
+(* A large result over a large dictionary: 20,000 rows of width 3 over
+   70,000 values with many repeated rows, so the radix sort runs two
+   passes of wide digits per column. *)
+let test_decode_at_scale () =
+  let store = Store.Encoded_store.create schema in
+  let d = Store.Encoded_store.dictionary store in
+  let rng = Random.State.make [| 5 |] in
+  let codes =
+    Array.init 70_000 (fun _ ->
+        let t = Printf.sprintf "%x" (Random.State.bits rng) in
+        Rdf.Dictionary.encode d
+          (match Random.State.int rng 3 with
+          | 0 -> u t
+          | 1 -> Rdf.Term.literal t
+          | _ -> Rdf.Term.bnode t))
+  in
+  let rel =
+    rel_of_rows ~cols:3
+      (List.init 20_000 (fun _ ->
+           List.init 3 (fun _ -> codes.(Random.State.int rng 30 * 2333))))
+  in
+  let ex = Engine.Executor.create store in
+  Alcotest.check rows_t "decode = reference" (reference_decode d rel)
+    (Engine.Executor.decode ex rel)
+
+(* The ranks are cached after the first decode; terms interned later sort
+   before, between and after the ranked ones, and both old and new
+   relations must still decode in the reference order. *)
+let test_decode_after_growth () =
+  let store = Store.Encoded_store.create schema in
+  let d = Store.Encoded_store.dictionary store in
+  let enc = List.map (Rdf.Dictionary.encode d) in
+  let first =
+    enc [ u "m"; Rdf.Term.literal "m"; Rdf.Term.bnode "m"; u "c"; u "mm" ]
+  in
+  let ex = Engine.Executor.create store in
+  let rel_of codes =
+    let rows = List.concat_map (fun a -> List.map (fun b -> [ b; a ]) codes) codes in
+    rel_of_rows ~cols:2 (rows @ rows)
+  in
+  let old_rel = rel_of first in
+  Alcotest.check rows_t "before growth" (reference_decode d old_rel)
+    (Engine.Executor.decode ex old_rel);
+  let ranks = Rdf.Dictionary.ranks d in
+  Alcotest.(check bool) "ranks reused while the dictionary is unchanged" true
+    (ranks == Rdf.Dictionary.ranks d);
+  let later =
+    enc
+      [
+        u "a"; u "g"; u "m/"; Rdf.Term.literal ""; Rdf.Term.literal "z";
+        Rdf.Term.bnode "a"; Rdf.Term.bnode "zz";
+      ]
+  in
+  Alcotest.(check bool) "ranks rebuilt after growth" false
+    (ranks == Rdf.Dictionary.ranks d);
+  Alcotest.check rows_t "old relation after growth"
+    (reference_decode d old_rel)
+    (Engine.Executor.decode ex old_rel);
+  let new_rel = rel_of (later @ first) in
+  Alcotest.check rows_t "new terms interleaved" (reference_decode d new_rel)
+    (Engine.Executor.decode ex new_rel);
+  (* the first column, one entry per run: every term, in term order *)
+  let rec runs = function
+    | a :: (b :: _ as rest) when a = b -> runs rest
+    | a :: rest -> a :: runs rest
+    | [] -> []
+  in
+  Alcotest.(check (list string)) "first column in term order"
+    [ "<a>"; "<c>"; "<g>"; "<m>"; "<m/>"; "<mm>"; "\"\""; "\"m\""; "\"z\"";
+      "_:a"; "_:m"; "_:zz" ]
+    (runs
+       (List.map (fun row -> Rdf.Term.to_string (List.hd row))
+          (Engine.Executor.decode ex new_rel)))
+
 let differential_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       prop_hash_join_matches_reference;
       prop_bnl_join_matches_reference;
       prop_dedup_matches_reference;
+      prop_decode_matches_reference;
     ]
 
 (* All three engine profiles must agree on the answers they can compute:
@@ -725,6 +849,9 @@ let () =
           Alcotest.test_case "arity check" `Quick test_relation_arity_check;
           Alcotest.test_case "zero arity" `Quick test_relation_zero_arity;
           Alcotest.test_case "sink = dedup" `Quick test_sink_matches_dedup;
+          Alcotest.test_case "decode after dictionary growth" `Quick
+            test_decode_after_growth;
+          Alcotest.test_case "decode at scale" `Quick test_decode_at_scale;
         ] );
       ( "evaluation",
         [
