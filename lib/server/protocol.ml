@@ -104,9 +104,28 @@ let unescape s =
 let encode_row fields = String.concat "\t" (List.map escape fields)
 let decode_row line = List.map unescape (String.split_on_char '\t' line)
 let terminator = "."
-let stuff line = if String.length line > 0 && line.[0] = '.' then "." ^ line else line
+let needs_stuffing line = String.length line > 0 && line.[0] = '.'
+let stuff line = if needs_stuffing line then "." ^ line else line
 
 let unstuff line =
   if String.length line >= 2 && line.[0] = '.' && line.[1] = '.' then
     String.sub line 1 (String.length line - 1)
   else line
+
+let output_line oc line =
+  if needs_stuffing line then output_char oc '.';
+  output_string oc line;
+  output_char oc '\n'
+
+let output_row oc width field =
+  for k = 0 to width - 1 do
+    let f = field k in
+    if k > 0 then output_char oc '\t'
+    else if needs_stuffing f then output_char oc '.';
+    output_string oc f
+  done;
+  output_char oc '\n'
+
+let output_terminator oc =
+  output_string oc terminator;
+  output_char oc '\n'

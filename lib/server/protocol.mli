@@ -57,8 +57,28 @@ val decode_row : string -> string list
 val terminator : string
 (** The response-ending line, ["."] . *)
 
+val needs_stuffing : string -> bool
+(** Whether a payload line gains a leading dot on the wire: it starts
+    with [.]. *)
+
 val stuff : string -> string
 (** Dot-stuffs a payload line for the wire. *)
 
 val unstuff : string -> string
 (** Removes one level of dot-stuffing. *)
+
+(** {2 Streaming writers}
+
+    The same bytes written straight to a channel, with no intermediate
+    string per line or per response. *)
+
+val output_line : out_channel -> string -> unit
+(** [output_line oc l] writes [stuff l] and a newline. *)
+
+val output_row : out_channel -> int -> (int -> string) -> unit
+(** [output_row oc width field] writes one answer row whose fields are
+    already {!escape}d: byte for byte [stuff (encode_row fs)] and a
+    newline, where [field k = escape (List.nth fs k)] for [k < width]. *)
+
+val output_terminator : out_channel -> unit
+(** Writes the {!terminator} line. *)
