@@ -387,6 +387,7 @@ let query_cmd =
     | Error msg -> prerr_endline msg; exit 2
     | Ok (q, schema) -> (
         let store = load_store ?schema data in
+        Store.Encoded_store.publish_metrics store;
         let sys = Rqa.Answering.make ~profile store in
         apply_cache_mode sys cache_mode;
         apply_updates store ~inserts:insert ~deletes:delete;
@@ -464,7 +465,6 @@ let query_cmd =
                 Printf.printf "-- cover: %s\n" (Query.Jucq.cover_to_string cover)
             | _ -> ());
             if metrics then begin
-              Store.Encoded_store.observe_metrics store;
               print_string "-- metrics:\n";
               print_string (Metrics.to_text ())
             end;
@@ -1088,6 +1088,7 @@ let stats_cmd =
       | None, `Dblp ->
           Workloads.Dblp.generate { Workloads.Dblp.publications = 2000 }
     in
+    Store.Encoded_store.publish_metrics store;
     let queries =
       match wl with
       | `Lubm -> List.map (fun (n, q) -> ("lubm:" ^ n, q)) Workloads.Lubm.queries
@@ -1132,7 +1133,6 @@ let stats_cmd =
           | exception Engine.Profile.Engine_failure _ -> incr failures
         done)
       queries;
-    Store.Encoded_store.observe_metrics store;
     (match prom_out with
     | Some f ->
         let oc = open_out f in

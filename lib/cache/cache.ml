@@ -37,6 +37,7 @@ type stats = {
 
 type answer_entry = {
   answers : Engine.Relation.t;
+  order : int array option Atomic.t;
   cover : Jucq.cover option;
   union_terms : int;
   fragment_terms : int list;

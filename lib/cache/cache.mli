@@ -127,6 +127,9 @@ val t2_add_fragment : tier2 -> string -> float -> unit
 
 type answer_entry = {
   answers : Engine.Relation.t;
+  order : int array option Atomic.t;
+      (** the rows' canonical order, filled on first use and then reused
+          by every hit ({!Rqa.Answering.order}) *)
   cover : Query.Jucq.cover option;
   union_terms : int;
   fragment_terms : int list;

@@ -207,6 +207,7 @@ let objective s q =
 
 type report = {
   answers : Engine.Relation.t;
+  order : int array option Atomic.t;
   strategy : strategy;
   cover : Jucq.cover option;
   union_terms : int;
@@ -292,6 +293,7 @@ let run_cover s strategy q cover ~reformulate ~covers_explored
   in
   {
     answers;
+    order = Atomic.make None;
     strategy;
     cover = Some cover;
     union_terms = Jucq.total_disjuncts jucq;
@@ -313,6 +315,7 @@ let answer_uncached s strategy q =
       let answers = Engine.Executor.eval_cq ex q in
       {
         answers;
+        order = Atomic.make None;
         strategy;
         cover = None;
         union_terms = 1;
@@ -378,6 +381,7 @@ let answer s strategy q =
          fail identically warm and cold *)
       {
         answers = e.Cache.answers;
+        order = e.Cache.order;
         strategy;
         cover = e.Cache.cover;
         union_terms = e.Cache.union_terms;
@@ -392,6 +396,7 @@ let answer s strategy q =
       Cache.add_answer s.cache key
         {
           Cache.answers = r.answers;
+          order = r.order;
           cover = r.cover;
           union_terms = r.union_terms;
           fragment_terms = r.fragment_terms;
@@ -406,6 +411,17 @@ let answer s strategy q =
   | exception e ->
       observe m_failed;
       raise e
+
+(* The dictionary only ever grows, and ranks order existing codes the same
+   way before and after a growth, so a computed order stays valid for as
+   long as the answer it orders. *)
+let order s r =
+  match Atomic.get r.order with
+  | Some o -> o
+  | None ->
+      let o = Engine.Executor.order s.engine r.answers in
+      Atomic.set r.order (Some o);
+      o
 
 let answer_terms s strategy q =
   let report = answer s strategy q in

@@ -105,6 +105,9 @@ val objective : system -> Query.Bgp.t -> Objective.t
 
 type report = {
   answers : Engine.Relation.t;   (** the (deduplicated) answer relation *)
+  order : int array option Atomic.t;
+      (** [answers]' canonical row order once computed, shared with the
+          answer tier's entry; read it through {!order} *)
   strategy : strategy;
   cover : Query.Jucq.cover option;      (** cover used (reformulation strategies) *)
   union_terms : int;             (** total CQs across fragments ([|q_ref|]-like) *)
@@ -122,6 +125,12 @@ val answer : system -> strategy -> Query.Bgp.t -> report
     Failing statements are never cached and fail identically warm or cold.
     @raise Engine.Profile.Engine_failure when the engine profile's limits
     are hit (the missing bars of Figures 4-6). *)
+
+val order : system -> report -> int array
+(** The report's rows in canonical order ({!Engine.Executor.order}),
+    computed on first use and kept with the report — and with its answer
+    tier entry, so repeated hits never sort again.  Saturated and plain
+    engines share the dictionary the order is taken from. *)
 
 val answer_terms : system -> strategy -> Query.Bgp.t -> Rdf.Term.t list list
 (** Decoded, sorted answers — the test-facing surface.  All strategies

@@ -9,6 +9,7 @@ type t = {
   by_value : int H.t;
   mutable by_code : Term.t array;  (* slot c holds the value of code c *)
   mutable next : int;
+  mutable payload_bytes : int;  (* summed string lengths of the values *)
   mutable rank : int array;
       (* slot c holds code c's position in value order, for the first
          [Array.length rank] codes *)
@@ -29,6 +30,7 @@ let create ?(initial_capacity = 1024) () =
     by_value = H.create initial_capacity;
     by_code = Array.make (max 1 initial_capacity) dummy;
     next = 0;
+    payload_bytes = 0;
     rank = [||];
     lock = Mutex.create ();
   }
@@ -59,6 +61,9 @@ let encode d v =
       d.by_code.(c) <- v;
       H.add d.by_value v c;
       d.next <- c + 1;
+      (match v with
+      | Term.Uri s | Term.Literal s | Term.Bnode s ->
+          d.payload_bytes <- d.payload_bytes + String.length s);
       c
 
 let find d v = locked d @@ fun () -> H.find_opt d.by_value v
@@ -96,6 +101,17 @@ let ranks d =
   d.rank
 
 let cardinal d = locked d @@ fun () -> d.next
+
+(* Per value: a value-table bucket cell (4 words) and slot (about 1), the
+   [Term.t] block (2) and its string's header and padding (about 2); then
+   the [by_code] and rank arrays and the string bytes themselves. *)
+let approx_bytes d =
+  let words =
+    (9 * d.next)
+    + Array.length d.by_code + Array.length d.rank
+    + (d.payload_bytes / (Sys.word_size / 8))
+  in
+  words * (Sys.word_size / 8)
 
 let iter f d =
   for c = 0 to d.next - 1 do

@@ -45,5 +45,10 @@ val mem_code : t -> int -> bool
 val cardinal : t -> int
 (** Number of distinct values encoded (also the next fresh code). *)
 
+val approx_bytes : t -> int
+(** An estimate of the dictionary's heap bytes — both indexes, the rank
+    array and the values' strings — from counters it keeps: O(1), no
+    traversal, no lock. *)
+
 val iter : (Term.t -> int -> unit) -> t -> unit
 (** Iterates over all (value, code) pairs in code order. *)

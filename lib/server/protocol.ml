@@ -117,15 +117,20 @@ let output_line oc line =
   output_string oc line;
   output_char oc '\n'
 
-let output_row oc width field =
-  for k = 0 to width - 1 do
-    let f = field k in
-    if k > 0 then output_char oc '\t'
-    else if needs_stuffing f then output_char oc '.';
-    output_string oc f
-  done;
-  output_char oc '\n'
+(* A channel takes its lock on every output call, so a row is rendered into
+   the writer's own buffer first and written with one call. *)
+let output_row oc =
+  let b = Buffer.create 256 in
+  fun width field ->
+    Buffer.clear b;
+    for k = 0 to width - 1 do
+      let f = field k in
+      if k > 0 then Buffer.add_char b '\t'
+      else if needs_stuffing f then Buffer.add_char b '.';
+      Buffer.add_string b f
+    done;
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b
 
-let output_terminator oc =
-  output_string oc terminator;
-  output_char oc '\n'
+let terminator_line = terminator ^ "\n"
+let output_terminator oc = output_string oc terminator_line

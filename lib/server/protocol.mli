@@ -70,7 +70,7 @@ val unstuff : string -> string
 (** {2 Streaming writers}
 
     The same bytes written straight to a channel, with no intermediate
-    string per line or per response. *)
+    string per response. *)
 
 val output_line : out_channel -> string -> unit
 (** [output_line oc l] writes [stuff l] and a newline. *)
@@ -78,7 +78,10 @@ val output_line : out_channel -> string -> unit
 val output_row : out_channel -> int -> (int -> string) -> unit
 (** [output_row oc width field] writes one answer row whose fields are
     already {!escape}d: byte for byte [stuff (encode_row fs)] and a
-    newline, where [field k = escape (List.nth fs k)] for [k < width]. *)
+    newline, where [field k = escape (List.nth fs k)] for [k < width].
+    The row is rendered into a buffer and written with a single channel
+    call, so the channel's lock is taken once per row.  Apply [output_row
+    oc] once per response to reuse one buffer across its rows. *)
 
 val output_terminator : out_channel -> unit
 (** Writes the {!terminator} line. *)

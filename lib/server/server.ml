@@ -44,10 +44,6 @@ let c_rejected =
   Metrics.counter "server.rejected" ~help:"Queries refused by cost admission"
 let c_writes =
   Metrics.counter "server.writes" ~help:"INSERT/DELETE requests applied"
-let g_inflight =
-  Metrics.gauge "server.inflight" ~help:"Requests currently executing"
-let g_epoch =
-  Metrics.gauge "server.epoch" ~help:"Store epoch (completed write sections)"
 
 type t = {
   store : Es.t;
@@ -72,6 +68,22 @@ type t = {
   mutable accept_thread : Thread.t option;
   mutable drained : bool;
 }
+
+(* The server the [server.inflight] and [server.epoch] gauges read: the
+   last one started.  Sampled at scrape time, so no request pushes them. *)
+let serving : t option Atomic.t = Atomic.make None
+
+let () =
+  let sampled name help f =
+    Metrics.sample ~help name (fun () ->
+        match Atomic.get serving with
+        | Some t -> float_of_int (f t)
+        | None -> 0.0)
+  in
+  sampled "server.inflight" "Requests currently executing" (fun t ->
+      Atomic.get t.inflight);
+  sampled "server.epoch" "Store epoch (completed write sections)" (fun t ->
+      Epoch.epoch t.ep)
 
 let port t = t.bound_port
 let epoch t = t.ep
@@ -130,9 +142,9 @@ let respond_rows oc status forms rel order =
   output_string oc status;
   output_char oc '\n';
   let w = Engine.Relation.cols rel in
+  let output_row = Protocol.output_row oc in
   Array.iter
-    (fun i ->
-      Protocol.output_row oc w (fun k -> forms.(Engine.Relation.get rel i k)))
+    (fun i -> output_row w (fun k -> forms.(Engine.Relation.get rel i k)))
     order;
   Protocol.output_terminator oc;
   flush oc
@@ -222,16 +234,11 @@ let handle_query t sys oc strategy_name text =
           | None -> (
               match Rqa.Answering.answer sys strategy q with
               | r ->
-                  let ex =
-                    match strategy with
-                    | Rqa.Answering.Saturation ->
-                        Rqa.Answering.saturated_engine sys
-                    | _ -> engine
-                  in
                   (* ordering and rendering finish before the status line,
-                     so an ERR never lands inside a payload *)
+                     so an ERR never lands inside a payload; an answer
+                     tier hit reuses the order its miss computed *)
                   let rel = r.Rqa.Answering.answers in
-                  let order = Engine.Executor.order ex rel in
+                  let order = Rqa.Answering.order sys r in
                   let forms = wire_forms t rel order in
                   let status =
                     Printf.sprintf
@@ -262,13 +269,9 @@ let handle_update t oc ~insert path =
             (* schema moved: new vocabulary may appear in reformulations,
                so re-intern it while readers are still excluded *)
             if s > 0 then Rqa.Answering.warm_up t.warm_sys t.config.warm;
-            (* reclamation-style cleanup: runs after the epoch bump, with
-               the drained epoch provably unreferenced *)
-            Epoch.defer t.ep (fun () -> Es.observe_metrics t.store);
             (s, d))
       in
       Metrics.add c_writes 1;
-      Metrics.set_gauge g_epoch (float_of_int (Epoch.epoch t.ep));
       respond oc
         (Printf.sprintf "OK schema=%d data=%d epoch=%d sv=%d dv=%d" s d
            (Epoch.epoch t.ep) (Es.schema_version t.store)
@@ -295,13 +298,10 @@ let stats_lines t =
 (* One request; returns [false] when the connection should close. *)
 let handle_line t sys oc line =
   Atomic.incr t.inflight;
-  Metrics.set_gauge g_inflight (float_of_int (Atomic.get t.inflight));
   Metrics.add c_requests 1;
   Atomic.incr t.served;
   Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr t.inflight;
-      Metrics.set_gauge g_inflight (float_of_int (Atomic.get t.inflight)))
+    ~finally:(fun () -> Atomic.decr t.inflight)
     (fun () ->
       match Protocol.parse_request line with
       | Error msg ->
@@ -320,8 +320,6 @@ let handle_line t sys oc line =
           respond oc "OK" (stats_lines t);
           true
       | Ok Protocol.Prom ->
-          Es.observe_metrics t.store;
-          Metrics.set_gauge g_epoch (float_of_int (Epoch.epoch t.ep));
           respond oc "OK" (String.split_on_char '\n' (Metrics.to_prometheus ()));
           true
       | Ok Protocol.Ping ->
@@ -389,6 +387,10 @@ let accept_loop t =
             continue := false
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | fd, _ ->
+            (* responses leave in whole buffers and end with a flush, so
+               Nagle's algorithm only adds latency: a response tail held
+               back for the delayed ACK of the chunk before it *)
+            Unix.setsockopt fd Unix.TCP_NODELAY true;
             Metrics.add c_connections 1;
             Mutex.lock t.lock;
             let id = t.conn_seq in
@@ -412,7 +414,6 @@ let start config store =
   | None -> ());
   let warm_sys = Rqa.Answering.make ~profile:config.profile ~cache store in
   Rqa.Answering.warm_up warm_sys config.warm;
-  Es.observe_metrics store;
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let bound_port =
     try
@@ -449,7 +450,8 @@ let start config store =
       drained = false;
     }
   in
-  Metrics.set_gauge g_epoch 0.0;
+  Es.publish_metrics store;
+  Atomic.set serving (Some t);
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
 

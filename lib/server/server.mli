@@ -22,7 +22,9 @@
     and that renders each code at most once per server lifetime.  The
     response streams to the socket through the connection's
     [out_channel] (one fixed 64 KB buffer) by {!Protocol.output_row},
-    never a buffer holding a whole payload.  Answering,
+    one channel call per row, never a buffer holding a whole payload.  An
+    answer tier hit reuses the order its miss computed
+    ({!Rqa.Answering.order}).  Answering,
     ordering and rendering all finish before the status line is written,
     so an [ERR] never lands inside a payload.  The bytes are those of
     [Protocol.stuff (Protocol.encode_row (List.map Term.to_string row))]
@@ -36,7 +38,10 @@
     The [server.*] metric families (connections, requests, errors,
     rejected, writes, inflight, epoch) register at module initialization:
     any binary linking this module exports them — zero-valued when idle —
-    through the usual [lib/metrics] Prometheus path. *)
+    through the usual [lib/metrics] Prometheus path.  The [inflight] and
+    [epoch] gauges, and the [store.*] gauges of the served store, are
+    sampled when a snapshot or [PROM] scrape is taken, never pushed: a
+    write section does work in proportion to the triples it changes. *)
 
 module Protocol : module type of Protocol
 (** The wire protocol, re-exported: [server.ml] names the library, so

@@ -390,23 +390,35 @@ let saturate t =
 
 (* ---- process-level metrics ---- *)
 
-(* Heap footprint of everything the store points at — columns, the six
-   posting indexes, the duplicate guard, the change log and the (possibly
-   shared) dictionary.  [Obj.reachable_words] walks that object graph, so
-   this is O(store size): snapshot-time only, never on a query path. *)
-let approx_bytes t = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8)
+(* Words per element follow the block layout (one header word per block):
+   a hash table holds at least its 1024 initial bucket slots and about one
+   per key, a bucket cell is 4 words, an [Intvec] record 3 plus its
+   array's header; vectors hold their initial capacity (4 for a posting)
+   or, once doubling has run, about 4/3 of a slot per element. *)
+let approx_bytes t =
+  let n = size t in
+  let buckets keys = max 1024 keys in
+  let index tbl =
+    let keys = Hashtbl.length tbl in
+    buckets keys + (8 * keys) + max (4 * keys) (4 * n / 3)
+  in
+  let words =
+    (3 * max 1024 (4 * n / 3))
+    + index t.idx_s + index t.idx_p + index t.idx_o
+    + index t.idx_sp + index t.idx_po + index t.idx_so
+    + buckets n + (8 * n)
+    + (8 * Queue.length t.log)
+  in
+  (words * (Sys.word_size / 8)) + Rdf.Dictionary.approx_bytes t.dict
 
-let g_triples = Metrics.gauge "store.triples" ~help:"Stored fact triples"
-let g_data_version =
-  Metrics.gauge "store.data_version" ~help:"Effective fact inserts + deletes"
-let g_schema_version =
-  Metrics.gauge "store.schema_version"
-    ~help:"Effective RDFS-constraint changes"
-let g_bytes =
-  Metrics.gauge "store.bytes" ~help:"Approximate heap bytes reachable from the store"
-
-let observe_metrics t =
-  Metrics.set_gauge g_triples (float_of_int (size t));
-  Metrics.set_gauge g_data_version (float_of_int t.data_version);
-  Metrics.set_gauge g_schema_version (float_of_int t.schema_version);
-  Metrics.set_gauge g_bytes (float_of_int (approx_bytes t))
+(* Samplers read counters only: a scrape costs the same on any store, and
+   no write refreshes a gauge. *)
+let publish_metrics t =
+  let sampled name help f =
+    Metrics.sample ~help name (fun () -> float_of_int (f t))
+  in
+  sampled "store.triples" "Stored fact triples" size;
+  sampled "store.data_version" "Effective fact inserts + deletes" data_version;
+  sampled "store.schema_version" "Effective RDFS-constraint changes"
+    schema_version;
+  sampled "store.bytes" "Estimated heap bytes of the store" approx_bytes

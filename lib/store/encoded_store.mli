@@ -159,12 +159,15 @@ val to_graph : t -> Rdf.Graph.t
 (** Decodes the store back into a graph (tests, small stores only). *)
 
 val approx_bytes : t -> int
-(** Approximate heap footprint in bytes of everything reachable from the
-    store — columns, posting indexes, duplicate guard, change log and the
-    (possibly shared) dictionary.  O(store size); meant for snapshots and
-    trace meta lines, never for query paths. *)
+(** An estimate of the store's heap bytes — columns, posting indexes,
+    duplicate guard, change log and the (possibly shared) dictionary —
+    computed in O(1) from counts the store keeps; no traversal.  It stays
+    within a factor of two of the reachable heap (tested).  The
+    [store.bytes] gauge and trace meta lines report this figure. *)
 
-val observe_metrics : t -> unit
-(** Publishes the [store.*] gauges ([store.triples], [store.data_version],
-    [store.schema_version], [store.bytes]) to the process metrics registry.
-    No-op while metrics are disabled. *)
+val publish_metrics : t -> unit
+(** Registers the [store.*] gauges ([store.triples], [store.data_version],
+    [store.schema_version], [store.bytes]) as samplers over [t], replacing
+    those of any store published before.  They are read from the store's
+    counters when a snapshot or scrape is taken, never pushed, so inserts
+    and deletes do work in proportion to the triples they change. *)

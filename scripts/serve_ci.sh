@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI serving/soak gate: boot `rdfqa serve` on a quick-scale LUBM dataset,
-# drive a scripted client mix against it, and hard-gate three contracts:
+# drive a scripted client mix against it, and hard-gate four contracts:
 #
 #   1. every read's rows are bit-identical to a single-shot
 #      `rdfqa query` over the same store state, also when two clients
@@ -10,7 +10,9 @@
 #      --insert);
 #   2. a SIGTERM drain: the server exits 0 and its drain summary reports
 #      the process-global domain pool joined (no leaked domains);
-#   3. nothing in the mix is answered with ERR (the client exits 1 on any).
+#   3. nothing in the mix is answered with ERR (the client exits 1 on any);
+#   4. after the writes, PROM's sampled store and epoch gauges equal the
+#      STATS fields they mirror.
 #
 # Usage: scripts/serve_ci.sh [jobs]
 #   RDFQA=path/to/rdfqa.exe overrides the binary (default: the dune build
@@ -179,6 +181,22 @@ grep -q '^epoch=6$' "$WORK/stats.out" \
 grep -q '^writes=6$' "$WORK/stats.out" \
   || { echo "serve_ci: FAIL — expected writes=6" >&2; cat "$WORK/stats.out" >&2; exit 1; }
 echo "serve_ci: ok — server stats coherent (epoch=6, writes=6)"
+
+# The store and epoch gauges are sampled when PROM is scraped, never
+# pushed by a write: after the six writes they must equal STATS' fields.
+client PROM > "$WORK/prom.out" 2> /dev/null
+for pair in triples:store_triples data_version:store_data_version \
+            schema_version:store_schema_version epoch:server_epoch; do
+  field=${pair%%:*}
+  gauge=rdfqa_${pair#*:}
+  want=$(sed -n "s/^$field=//p" "$WORK/stats.out")
+  got=$(sed -n "s/^$gauge //p" "$WORK/prom.out")
+  if [ -z "$want" ] || [ "$want" != "$got" ]; then
+    echo "serve_ci: FAIL — PROM $gauge='$got' but STATS $field='$want'" >&2
+    exit 1
+  fi
+done
+echo "serve_ci: ok — PROM store/epoch gauges equal STATS"
 
 # --- phase 6: graceful drain -------------------------------------------------
 kill -TERM "$SRV_PID"

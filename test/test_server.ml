@@ -388,6 +388,11 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let sorted_rows rows = List.sort compare (List.map P.decode_row rows)
 
 let expected_rows sys strategy q =
@@ -398,12 +403,13 @@ let expected_rows sys strategy q =
 
 let q_class_text = "SELECT ?s WHERE { ?s a <B> }"
 
-let with_server ?budget ?(warm = [ q_class; q_prop ]) store f =
+let with_server ?budget ?cache_mode ?(warm = [ q_class; q_prop ]) store f =
   let config =
     {
       Server.default_config with
       strategy = Rqa.Answering.Scq;
       budget;
+      cache_mode;
       warm;
     }
   in
@@ -657,6 +663,135 @@ let test_server_wire_bytes () =
   ignore (check "after insert");
   ignore (request (ic, oc) "QUIT")
 
+(* An answer-tier hit replays the order its miss computed: in process the
+   hit returns the very array, and over the wire the two responses carry
+   the same rows, the same bytes, and the same status apart from the
+   timings. *)
+let test_server_hit_bytes () =
+  let text = "SELECT ?s ?o WHERE { ?s <w> ?o }" in
+  let store = wire_store () in
+  let sys =
+    Rqa.Answering.make ~cache:(Cache.create ~mode:Cache.On store) store
+  in
+  let q = Bgp.normalize (Query.Sparql.parse text) in
+  let miss = Rqa.Answering.answer sys Rqa.Answering.Scq q in
+  let order = Rqa.Answering.order sys miss in
+  let hit = Rqa.Answering.answer sys Rqa.Answering.Scq q in
+  Alcotest.(check bool) "a hit reuses its miss's order array" true
+    (Rqa.Answering.order sys hit == order);
+  with_server ~cache_mode:Cache.On ~warm:[] (wire_store ()) @@ fun srv ->
+  let fd, ic, oc = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let answers_line () =
+    let _, rows = request (ic, oc) "STATS" in
+    List.find (has_prefix ~prefix:"cache=") rows
+  in
+  let read () =
+    send oc ("QUERY " ^ text);
+    let status, rows = read_raw ic in
+    let untimed =
+      List.filter
+        (fun f ->
+          not
+            (has_prefix ~prefix:"planning_ms=" f
+            || has_prefix ~prefix:"execution_ms=" f))
+        (String.split_on_char ' ' status)
+    in
+    (String.concat " " untimed, rows)
+  in
+  let miss = read () in
+  let before = answers_line () in
+  let hit = read () in
+  let after = answers_line () in
+  Alcotest.(check bool) ("the repeat is an answer-tier hit: " ^ after) true
+    (contains before "answers 0/1 hits" && contains after "answers 1/2 hits");
+  Alcotest.(check (pair string (list string))) "hit = miss, byte for byte"
+    miss hit;
+  ignore (request (ic, oc) "QUIT")
+
+let check_bytes label store estimate =
+  let walked = Obj.reachable_words (Obj.repr store) * (Sys.word_size / 8) in
+  let ratio = float_of_int estimate /. float_of_int walked in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: estimate %d B vs reachable %d B (%.2fx)" label
+       estimate walked ratio)
+    true
+    (ratio >= 0.5 && ratio <= 2.0)
+
+(* Store gauges are sampled at scrape time: after a data insert, a data
+   delete and a schema write, PROM's store and epoch gauges equal STATS'
+   fields, and the O(1) byte estimate stays within a factor of two of the
+   heap the store reaches. *)
+let test_server_sampled_gauges () =
+  let store = Workloads.Lubm.generate { Workloads.Lubm.universities = 1 } in
+  let ub local = u (Workloads.Lubm.ns ^ local) in
+  let batch =
+    [
+      tr (u "g0") typ (ub "GraduateStudent");
+      tr (u "g0") (ub "memberOf") (u "d0");
+    ]
+  and schema = [ tr (u "V") Rdf.Vocab.rdfs_subclassof (ub "Person") ] in
+  let file triples =
+    let f = Filename.temp_file "rdfqa_gauges" ".nt" in
+    let out = open_out f in
+    List.iter
+      (fun t -> output_string out (Rdf.Ntriples.line_of_triple t ^ "\n"))
+      triples;
+    close_out out;
+    f
+  in
+  let data_file = file batch and schema_file = file schema in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ data_file; schema_file ])
+  @@ fun () ->
+  with_server ~warm:[] store @@ fun srv ->
+  let fd, ic, oc = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let ch = (ic, oc) in
+  let value ~sep rows key =
+    let prefix = key ^ sep in
+    match List.find_opt (has_prefix ~prefix) rows with
+    | Some l ->
+        let n = String.length prefix in
+        int_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "%s missing" key
+  in
+  let check label =
+    let _, stats = request ch "STATS" in
+    let _, prom = request ch "PROM" in
+    List.iter
+      (fun (gauge, field) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s = STATS %s" label gauge field)
+          (value ~sep:"=" stats field)
+          (value ~sep:" " prom gauge))
+      [
+        ("rdfqa_store_triples", "triples");
+        ("rdfqa_store_data_version", "data_version");
+        ("rdfqa_store_schema_version", "schema_version");
+        ("rdfqa_server_epoch", "epoch");
+      ];
+    check_bytes label store (value ~sep:" " prom "rdfqa_store_bytes")
+  in
+  check "boot";
+  List.iter
+    (fun (verb, f, want) ->
+      let status, _ = request ch (verb ^ " " ^ f) in
+      Alcotest.(check bool) (verb ^ " applied: " ^ status) true
+        (has_prefix ~prefix:want status);
+      check (verb ^ " " ^ Filename.basename f))
+    [
+      ("INSERT", data_file, "OK schema=0 data=2");
+      ("DELETE", data_file, "OK schema=0 data=2");
+      ("INSERT", schema_file, "OK schema=1 data=0");
+    ];
+  ignore (request ch "QUIT");
+  (* the same bound on a tiny store, where initial capacities dominate *)
+  let small = stress_store () in
+  check_bytes "small store" small (Es.approx_bytes small)
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_no_torn_reads ]
 
@@ -692,5 +827,9 @@ let () =
           Alcotest.test_case "admission gate" `Quick test_server_admission_reject;
           Alcotest.test_case "schema write" `Quick test_server_schema_write;
           Alcotest.test_case "payload bytes" `Quick test_server_wire_bytes;
+          Alcotest.test_case "answer-tier hit bytes" `Quick
+            test_server_hit_bytes;
+          Alcotest.test_case "sampled store gauges" `Quick
+            test_server_sampled_gauges;
         ] );
     ]
