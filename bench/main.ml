@@ -119,9 +119,13 @@ type dataset = {
   pg_system : Rqa.Answering.system Lazy.t;
 }
 
+(* Every measured cell must execute: the dataset's systems share tiers 1-2
+   (reformulations, cover costs) but answer with the answer and fragment
+   tiers off, so a repeated run times the engine, not a tier-3 hit or a
+   tier-4 replay. *)
 let make_dataset label store queries schema =
   let reformulator = Reformulation.Reformulate.create schema in
-  let cache = Cache.create ~reformulator store in
+  let cache = Cache.create ~mode:Cache.Answers_off ~reformulator store in
   let systems =
     lazy
       (List.map
@@ -597,12 +601,6 @@ let workload_driver ctx =
        "Workload driver: LUBM small, GCov/postgres-like, jobs=1 vs jobs=%d"
        jobs);
   let ds = Lazy.force ctx.lubm_s in
-  (* Answer caching off for the driver: fresh systems share tiers 1-2
-     through the dataset cache (the point of sharing), but every run must
-     actually execute so the compared operation totals are the engines',
-     not the answer tier's. *)
-  let saved_mode = Cache.mode ds.cache in
-  Cache.set_mode ds.cache Cache.Answers_off;
   let answer_one (_, q) =
     let sys =
       Rqa.Answering.make ~profile:Engine.Profile.postgres_like ~cache:ds.cache
@@ -662,7 +660,6 @@ let workload_driver ctx =
        wall-clock speedup is expected here, only the determinism check is \
        meaningful (set RDFQA_JOBS_FORCE=1 to oversubscribe anyway)\n%!"
       jobs cpus;
-  Cache.set_mode ds.cache saved_mode;
   if not identical then begin
     prerr_endline "workload driver: parallel run diverged from sequential";
     exit 1

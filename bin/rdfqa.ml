@@ -99,9 +99,10 @@ let cache_mode_arg =
     & opt (some mode_conv) None
     & info [ "cache" ] ~docv:"MODE"
         ~doc:
-          "Memoization mode: $(b,on) (reformulations, cover costs and \
-           answers), $(b,answers-off) (plan caching without result \
-           caching) or $(b,off).  Default: $(b,RDFQA_CACHE), else on.")
+          "Memoization mode: $(b,on) (reformulations, cover costs, \
+           answers and executed fragments), $(b,answers-off) (plan caching \
+           without result or fragment caching) or $(b,off).  Default: \
+           $(b,RDFQA_CACHE), else on.")
 
 let apply_cache_mode sys mode =
   Option.iter (Cache.set_mode (Rqa.Answering.cache sys)) mode
@@ -1167,178 +1168,6 @@ let stats_cmd =
       const run $ workload $ data $ strategy_arg $ engine_arg
       $ cache_mode_arg $ repeat $ prom_out $ json_out $ jobs_arg)
 
-let views_cmd =
-  let workload =
-    Arg.(
-      value
-      & opt (enum [ ("lubm", `Lubm); ("dblp", `Dblp) ]) `Lubm
-      & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-          ~doc:"Workload whose evaluation queries drive view selection.")
-  in
-  let data =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "d"; "data" ] ~docv:"FILE"
-          ~doc:
-            "Data file to load (default: the same in-process dataset the \
-             CI trace leg generates for the workload).")
-  in
-  let view_budget =
-    Arg.(
-      value
-      & opt int (64 * 1024 * 1024)
-      & info [ "view-budget" ] ~docv:"BYTES"
-          ~doc:
-            "Byte budget for the greedy selection (estimated materialized \
-             bytes; default 64 MiB).")
-  in
-  let run wl data budget profile jobs =
-    apply_jobs jobs;
-    let store =
-      match (data, wl) with
-      | Some path, `Lubm -> load_store ~schema:Workloads.Lubm.schema path
-      | Some path, `Dblp -> load_store ~schema:Workloads.Dblp.schema path
-      | None, `Lubm ->
-          Workloads.Lubm.generate { Workloads.Lubm.universities = 1 }
-      | None, `Dblp ->
-          Workloads.Dblp.generate { Workloads.Dblp.publications = 2000 }
-    in
-    let queries =
-      match wl with
-      | `Lubm -> List.map (fun (n, q) -> ("lubm:" ^ n, q)) Workloads.Lubm.queries
-      | `Dblp -> List.map (fun (n, q) -> ("dblp:" ^ n, q)) Workloads.Dblp.queries
-    in
-    (* Two systems over the same store: a view-less baseline and a
-       view-serving one.  Answer caching off on both so every measured
-       answer is a real evaluation, not a tier-3 hit. *)
-    let sys_base = Rqa.Answering.make ~profile store in
-    let sys_views = Rqa.Answering.make ~profile store in
-    Cache.set_mode (Rqa.Answering.cache sys_base) Cache.Answers_off;
-    Cache.set_mode (Rqa.Answering.cache sys_views) Cache.Answers_off;
-    (* ECov with its wall clock disabled (which cover determinism between
-       the selection and measured runs requires) is far too slow on
-       DBLP's large cover spaces, so the DBLP leg measures GCov only —
-       the same split the bench cache experiment uses. *)
-    let strategies =
-      match wl with
-      | `Lubm -> Rqa.View_select.default_strategies
-      | `Dblp -> [ Rqa.Answering.Gcov ]
-    in
-    let t0 = Unix.gettimeofday () in
-    let selection =
-      Rqa.View_select.select_and_install ~strategies ~budget sys_views queries
-    in
-    let materialize_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let v = Option.get (Rqa.Answering.views sys_views) in
-    Printf.printf
-      "-- selected %d/%d candidate views (%d estimated bytes, budget %d); \
-       materialization %.1f ms\n"
-      (List.length selection.Rqa.View_select.selected)
-      (List.length selection.Rqa.View_select.candidates)
-      selection.Rqa.View_select.selected_bytes budget materialize_ms;
-    List.iter
-      (fun (i : Cache.Views.info) ->
-        Printf.printf "   view %-40s %d rows, %d B, %d rematerializations\n"
-          (let k = i.Cache.Views.key in
-           if String.length k <= 40 then k else String.sub k 0 37 ^ "...")
-          i.Cache.Views.rows i.Cache.Views.bytes
-          i.Cache.Views.rematerializations)
-      (Cache.Views.definitions v);
-    let divergent = ref false in
-    let total_base = ref 0.0 and total_views = ref 0.0 in
-    let failures = ref 0 in
-    Printf.printf "%-12s %-6s %12s %12s %8s\n" "query" "strat" "no-views ms"
-      "views ms" "speedup";
-    List.iter
-      (fun strategy ->
-        let sname = Rqa.Answering.strategy_name strategy in
-        List.iter
-          (fun (name, q) ->
-            let timed sys =
-              let t0 = Unix.gettimeofday () in
-              let r =
-                match Rqa.Answering.answer sys strategy q with
-                | r -> Ok r
-                | exception Engine.Profile.Engine_failure { reason; _ } ->
-                    Error reason
-              in
-              ((Unix.gettimeofday () -. t0) *. 1000.0, r)
-            in
-            let bms, base = timed sys_base in
-            let vms, views = timed sys_views in
-            total_base := !total_base +. bms;
-            total_views := !total_views +. vms;
-            (match (base, views) with
-            | Ok rb, Ok rv ->
-                let db =
-                  Engine.Executor.decode
-                    (Rqa.Answering.engine sys_base)
-                    rb.Rqa.Answering.answers
-                and dv =
-                  Engine.Executor.decode
-                    (Rqa.Answering.engine sys_views)
-                    rv.Rqa.Answering.answers
-                in
-                let ob =
-                  Engine.Executor.last_operations (Rqa.Answering.engine sys_base)
-                and ov =
-                  Engine.Executor.last_operations
-                    (Rqa.Answering.engine sys_views)
-                in
-                if db <> dv then begin
-                  divergent := true;
-                  Printf.printf "!! %s %s: answers diverge with views on\n" name
-                    sname
-                end
-                else if ob <> ov then begin
-                  divergent := true;
-                  Printf.printf
-                    "!! %s %s: operation totals diverge (%d without views, %d \
-                     with)\n"
-                    name sname ob ov
-                end
-            | Error fb, Error fv ->
-                incr failures;
-                if fb <> fv then begin
-                  divergent := true;
-                  Printf.printf "!! %s %s: failure reasons diverge\n" name sname
-                end
-            | Ok _, Error _ | Error _, Ok _ ->
-                incr failures;
-                divergent := true;
-                Printf.printf "!! %s %s: one side fails, the other answers\n"
-                  name sname);
-            Printf.printf "%-12s %-6s %12.2f %12.2f %7.2fx\n" name sname bms vms
-              (if vms > 0.0 then bms /. vms else 0.0))
-          queries)
-      strategies;
-    Printf.printf
-      "-- workload total: %.1f ms without views, %.1f ms with views (%.2fx); \
-       %d view hits, %d misses%s\n"
-      !total_base !total_views
-      (if !total_views > 0.0 then !total_base /. !total_views else 0.0)
-      (Cache.Views.hits v) (Cache.Views.misses v)
-      (if !failures > 0 then
-         Printf.sprintf "; %d engine failures (identical both sides)"
-           !failures
-       else "");
-    if !divergent then begin
-      Printf.printf "!! DIVERGENCE: views changed observable behaviour\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "views"
-       ~doc:
-         "Select materialized views for a workload under a byte budget \
-          ($(b,--view-budget)), materialize them, and answer the whole \
-          workload with and without views (ECov and GCov on LUBM, GCov on \
-          DBLP), checking answers and operation totals stay bit-identical.  \
-          Exits 1 on divergence.")
-    Term.(
-      const run $ workload $ data $ view_budget $ engine_arg $ jobs_arg)
-
 (* ---------- serve / client ---------- *)
 
 let serve_cmd =
@@ -1455,11 +1284,10 @@ let serve_cmd =
     Par.shutdown_global ();
     let ep = Server.epoch srv in
     Printf.printf
-      "-- drained: %d requests, epoch %d, %d reads, %d writes, %d deferred \
-       thunks run; pool joined\n%!"
+      "-- drained: %d requests, epoch %d, %d reads, %d writes; pool \
+       joined\n%!"
       (Server.requests_served srv)
       (Store.Epoch.epoch ep) (Store.Epoch.reads ep) (Store.Epoch.writes ep)
-      (Store.Epoch.deferred_run ep)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1624,6 +1452,6 @@ let () =
        (Cmd.group info
           [
             generate_cmd; query_cmd; reformulate_cmd; explain_cmd; sql_cmd;
-            check_cmd; trace_cmd; stats_cmd; views_cmd; serve_cmd;
+            check_cmd; trace_cmd; stats_cmd; serve_cmd;
             client_cmd;
           ]))

@@ -1,9 +1,9 @@
 (** Soundness checks for serving materialized views in place of query
     fragments (the RF002/RF003 diagnostics).
 
-    The view tier keys definitions by the canonical cover-query string; a
-    keyed definition is only served when it is {e the} rewrite the use
-    site would otherwise evaluate and its contents are stamped at the
+    Cache tier 4 keys fragment snapshots by the canonical cover-query
+    string; a keyed snapshot is only served when it is {e the} rewrite the
+    use site would otherwise evaluate and its contents are stamped at the
     store's current versions.  These functions verify both halves and are
     run through {!Plan_verify.check_exn} on every view hit, so a planner
     bug that would serve a wrong or stale view rejects the statement

@@ -33,6 +33,7 @@ type stats = {
   reformulation : tier_stats;
   cover : tier_stats;
   answer : tier_stats;
+  fragment : tier_stats;
 }
 
 type answer_entry = {
@@ -84,15 +85,22 @@ type t = {
   t2_cost : (string, float) Hashtbl.t;
   t2_frag : (string, float) Hashtbl.t;
   t3 : answer_entry Lru.t;
+  t4 : Views.t;
   c1 : counters;
   c2 : counters;
   c3 : counters;
+  c4 : counters;
 }
 
 let make_reformulator max_terms schema =
   match max_terms with
   | Some max_terms -> Reformulate.create ~max_terms schema
   | None -> Reformulate.create schema
+
+(* Tier 4's byte budget: one GCov pass over LUBM-8's 28 templates records
+   37 fragments of about 1.5 MB, so the budget holds a workload twenty
+   times that size. *)
+let fragment_capacity_bytes = 32 * 1024 * 1024
 
 let create ?mode ?max_terms ?(answer_capacity_bytes = 64 * 1024 * 1024)
     ?reformulator store =
@@ -114,9 +122,11 @@ let create ?mode ?max_terms ?(answer_capacity_bytes = 64 * 1024 * 1024)
     t2_cost = Hashtbl.create 256;
     t2_frag = Hashtbl.create 256;
     t3 = Lru.create ~capacity_bytes:answer_capacity_bytes;
+    t4 = Views.create ~capacity_bytes:fragment_capacity_bytes;
     c1 = fresh_counters ();
     c2 = fresh_counters ();
     c3 = fresh_counters ();
+    c4 = fresh_counters ();
   }
 
 let store t = t.store
@@ -158,10 +168,12 @@ let flush_tier3 t =
     Lru.clear t.t3
   end
 
+let drop_tier4 t n = t.c4.evictions <- t.c4.evictions + n
+
 (* The invalidation matrix.  A schema change obsoletes everything (and the
    reformulation engine itself); a data-only change leaves tier 1 warm —
-   reformulations read no facts — but flushes the cost- and
-   answer-bearing tiers. *)
+   reformulations read no facts — flushes the cost- and answer-bearing
+   tiers, and drops the tier-4 fragments whose footprint it touches. *)
 let revalidate t =
   let sv = Es.schema_version t.store and dv = Es.data_version t.store in
   if sv <> t.seen_schema then begin
@@ -176,12 +188,14 @@ let revalidate t =
     t.generation <- t.generation + 1;
     flush_tier2 t;
     flush_tier3 t;
+    drop_tier4 t (Views.clear t.t4);
     t.seen_schema <- sv;
     t.seen_data <- dv
   end
   else if dv <> t.seen_data then begin
     flush_tier2 t;
     flush_tier3 t;
+    drop_tier4 t (Views.invalidate t.t4 t.store ~since:t.seen_data);
     t.seen_data <- dv
   end
 
@@ -336,6 +350,60 @@ let add_answer t key e =
       Metrics.set_gauge g_ans_entries (float_of_int (Lru.length t.t3));
       Metrics.set_gauge g_ans_bytes (float_of_int (Lru.bytes t.t3))
 
+(* ---- tier 4 ---- *)
+
+let fragment t ex ((cq : Bgp.t), u) =
+  match t.mode with
+  | Off | Answers_off -> None
+  | On -> (
+      let key = t1_key cq in
+      let probe =
+        locked t @@ fun () ->
+        revalidate t;
+        match Views.find t.t4 key u with
+        | Some e ->
+            t.c4.hits <- t.c4.hits + 1;
+            (* tripwires (RDFQA_VERIFY / test builds): an entry that is
+               not the fragment's rewrite, or stamped at other store
+               versions, rejects the statement instead of being served *)
+            Analysis.Plan_verify.check_exn (fun () ->
+                Analysis.View_verify.verify_rewrite ~context:"cache/fragment"
+                  ~head:e.Views.head
+                  ~arity:(Engine.Executor.snapshot_arity e.Views.snap)
+                  ~terms:(Engine.Executor.snapshot_terms e.Views.snap)
+                  ~cq ~ucq:u);
+            Analysis.Plan_verify.check_exn (fun () ->
+                Analysis.View_verify.verify_freshness ~context:"cache/fragment"
+                  ~def_schema:t.seen_schema ~def_data:t.seen_data
+                  ~schema:(Es.schema_version t.store)
+                  ~data:(Es.data_version t.store));
+            `Hit e.Views.snap
+        | None ->
+            t.c4.misses <- t.c4.misses + 1;
+            `Miss (t.generation, t.seen_data)
+      in
+      match probe with
+      | `Hit snap -> Some snap
+      | `Miss (gen, dv) -> (
+          (* record outside the lock, like a tier-1 miss: a racing
+             recorder of the same UCQ records the same snapshot, and the
+             first insert wins *)
+          match Engine.Executor.record_fragment ex u with
+          | None -> None
+          | Some snap ->
+              let e =
+                {
+                  Views.ucq = u;
+                  head = Bgp.head_vars cq;
+                  footprint = Views.footprint_of t.store u;
+                  snap;
+                }
+              in
+              locked t @@ fun () ->
+              revalidate t;
+              if t.generation <> gen || t.seen_data <> dv then Some snap
+              else Some (Views.add t.t4 key e).Views.snap))
+
 (* ---- stats ---- *)
 
 let stats t =
@@ -367,6 +435,14 @@ let stats t =
         entries = Lru.length t.t3;
         bytes = Lru.bytes t.t3;
       };
+    fragment =
+      {
+        hits = t.c4.hits;
+        misses = t.c4.misses;
+        evictions = t.c4.evictions + Lru.evictions t.t4;
+        entries = Lru.length t.t4;
+        bytes = Lru.bytes t.t4;
+      };
   }
 
 let tier_to_string name (s : tier_stats) =
@@ -381,8 +457,5 @@ let stats_to_string s =
       tier_to_string "reformulation" s.reformulation;
       tier_to_string "cover" s.cover;
       tier_to_string "answers" s.answer;
+      tier_to_string "fragments" s.fragment;
     ]
-
-(* Tier 4 lives in its own module; re-exported so users write
-   [Cache.Views]. *)
-module Views = Views

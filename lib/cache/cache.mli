@@ -3,7 +3,8 @@
     Reformulation-based query answering pays a per-query planning cost —
     CQ→UCQ reformulation, cover search, JUCQ evaluation — that repeated
     traffic recomputes verbatim.  This module memoizes the three expensive
-    stages, each keyed to the exact slice of store state it depends on:
+    stages in four tiers, each keyed to the exact slice of store state it
+    depends on:
 
     - {b tier 1, reformulation} (schema-versioned): canonical CQ →
       {!Query.Ucq.t}.  A reformulation depends only on the RDFS schema, so
@@ -21,21 +22,29 @@
     - {b tier 3, answers} (schema- and data-versioned, bounded): full
       result relations plus planning metadata in a byte-accounted LRU
       ({!Lru}).  Any effective store change flushes it.
+    - {b tier 4, fragments} (schema-versioned, footprint-scoped, bounded):
+      charge-exact snapshots of the fragment UCQs JUCQ evaluation has
+      executed, filled on demand ({!fragment}) and shared by every system
+      on the cache.  A fact change drops only the entries whose property
+      footprint it touches; a schema change drops them all.
 
     All entries are pure functions of (key, store snapshot); probes happen
     under one internal lock with computation outside it and first-insert
     wins, so concurrent domains agree and cached values keep the physical
     identity the engine's plan caches key on.  Per-tier hit/miss/eviction
-    counters are kept and mirrored to {!Obs} counters (visible in [rdfqa
-    trace]) when tracing is enabled. *)
+    counters are kept; tiers 1-3 mirror them to {!Obs} counters (visible
+    in [rdfqa trace]) when tracing is enabled, and tier 4, which tracing
+    bypasses, to the [views.*] metric families. *)
 
 module Lru : module type of Lru
 (** Re-exported: the library root module hides its siblings. *)
 
 type mode =
   | Off          (** no memoization (version tracking still applies) *)
-  | On           (** all three tiers *)
-  | Answers_off  (** tiers 1-2 only: plan caching without result caching *)
+  | On           (** all four tiers *)
+  | Answers_off
+      (** tiers 1-2 only: plan caching without result or fragment
+          caching *)
 
 val mode_of_string : string -> (mode, string) result
 (** Parses ["on"], ["off"], ["answers-off"]. *)
@@ -50,16 +59,17 @@ type tier_stats = {
   hits : int;
   misses : int;
   evictions : int;
-      (** LRU evictions (tier 3) plus entries dropped by version-driven
+      (** LRU evictions (tiers 3-4) plus entries dropped by version-driven
           invalidation (all tiers). *)
   entries : int;  (** live entries *)
-  bytes : int;    (** live byte weight (tier 3 only; 0 elsewhere) *)
+  bytes : int;    (** live byte weight (tiers 3-4; 0 elsewhere) *)
 }
 
 type stats = {
   reformulation : tier_stats;
   cover : tier_stats;
   answer : tier_stats;
+  fragment : tier_stats;
 }
 
 type t
@@ -75,7 +85,8 @@ val create :
   t
 (** A cache over a store.  [mode] defaults to {!default_mode}.
     [max_terms] is forwarded to the reformulation engines built per schema
-    generation.  [answer_capacity_bytes] bounds tier 3 (default 64 MiB).
+    generation.  [answer_capacity_bytes] bounds tier 3 (default 64 MiB);
+    tier 4 holds at most 32 MiB.
     [reformulator] seeds the current generation's engine (it must be bound
     to the store's current schema); one is built from the store otherwise. *)
 
@@ -153,7 +164,18 @@ val stats_to_string : stats -> string
 (** One-line rendering: per-tier [hits/lookups] plus eviction and byte
     figures, for CLI output. *)
 
-(** {2 Tier 4: materialized views} *)
+(** {2 Tier 4: fragments} *)
 
-module Views : module type of Views
-(** Workload-selected materialized views (see {!Views}). *)
+val fragment :
+  t ->
+  Engine.Executor.t ->
+  Query.Bgp.t * Query.Ucq.t ->
+  Engine.Executor.fragment_snapshot option
+(** The per-fragment probe {!Engine.Executor.eval_jucq} takes as
+    [?views]: [fragment t ex] answers a fragment's (cover query, tier-1
+    reformulation) with a snapshot to replay.  A miss records the UCQ
+    with [ex]'s plans ({!Engine.Executor.record_fragment}, outside the
+    lock) and installs it, first insert winning; an entry is only served
+    for the very UCQ it was recorded from.  [None] in {!Off} and
+    {!Answers_off} modes, and when recording gives up at [ex]'s profile
+    limits: the caller then evaluates the fragment live. *)

@@ -90,6 +90,19 @@ let remove t key =
   | Some n -> drop t n ~evicted:false
   | None -> ()
 
+let filter t keep =
+  let rec go dropped = function
+    | None -> dropped
+    | Some n ->
+        let next = n.next in
+        if keep n.key n.value then go dropped next
+        else begin
+          drop t n ~evicted:false;
+          go (dropped + 1) next
+        end
+  in
+  go 0 t.head
+
 let clear t =
   Hashtbl.reset t.tbl;
   t.head <- None;

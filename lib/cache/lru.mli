@@ -37,6 +37,11 @@ val add : 'a t -> string -> bytes:int -> 'a -> unit
 val remove : 'a t -> string -> unit
 (** Drops a binding if present (not counted as an eviction). *)
 
+val filter : 'a t -> (string -> 'a -> bool) -> int
+(** [filter t keep] drops every binding [keep] rejects (not counted as
+    evictions) and returns how many it dropped; survivors keep their
+    recency order. *)
+
 val clear : 'a t -> unit
 (** Drops every binding (not counted as evictions). *)
 

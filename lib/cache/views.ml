@@ -1,113 +1,52 @@
 open Query
 module Es = Store.Encoded_store
 
-(* Tier 4: workload-selected materialized views.
+(* Tier 4: fragment snapshots, filled on demand.
 
    Where tiers 1-3 memoize planning artifacts and whole answers, this
-   tier materializes {e fragments}: the cover queries that ECov/GCov
-   covers share across a workload, stored as executor fragment snapshots
-   (charge logs + deduplicated relation — see
-   {!Engine.Executor.record_fragment}).  Definitions are keyed by the
-   canonical cover-query string and schema-versioned (a schema change
-   changes every reformulation, so definitions rebuild); contents are
-   data-versioned and re-materialize incrementally: a fact change only
-   re-records the views whose property footprint it touches, everything
-   else is restamped.
+   tier keeps {e fragments}: the cover-query UCQs that JUCQ evaluation
+   materializes, stored as executor fragment snapshots (charge logs +
+   deduplicated relation — see {!Engine.Executor.record_fragment}).  A
+   fragment is recorded the first time a query executes it and is kept
+   until a write touches it: a fact change drops only the entries whose
+   property footprint it meets ([changes_since]), a schema change or a
+   change-log overrun drops them all, and a byte budget evicts the least
+   recently used.
 
-   Soundness at serve time rests on tier-1 physical identity: a
-   definition's reformulation is obtained through the same
-   [reformulate] closure the answering layer hands to [Jucq.make], and a
-   view is only served when the use-site UCQ {e is} (pointer-equal) the
-   definition's — which implies identical compiled plans, hence an
-   identical charge stream.  The RF002/RF003 checks run on every hit
-   under {!Analysis.Plan_verify.check_exn} as a tripwire against planner
-   bugs that would serve a wrong or stale view. *)
+   Soundness at serve time rests on tier-1 physical identity: entries are
+   keyed by the tier-1 canonical key of the cover query, and an entry is
+   only served when the use-site UCQ {e is} (pointer-equal) the one it
+   was recorded from — which implies identical compiled plans, hence an
+   identical charge stream.
+
+   Every function here runs under the owning {!Cache}'s lock. *)
 
 let m_hits =
   Metrics.counter "views.hits"
-    ~help:"Fragment evaluations served from a materialized view"
+    ~help:"Fragment evaluations served from a tier-4 snapshot"
 let m_misses =
   Metrics.counter "views.misses"
-    ~help:"View probes that found no usable view"
+    ~help:"Tier-4 probes that found no usable snapshot"
 let m_remat =
   Metrics.counter "views.rematerializations"
-    ~help:"View contents re-recorded after store changes"
-let g_count =
-  Metrics.gauge "views.count" ~help:"Materialized view definitions installed"
+    ~help:
+      "Tier-4 snapshots a write invalidated (each is re-recorded on its \
+       next use)"
+let g_count = Metrics.gauge "views.count" ~help:"Tier-4 snapshots resident"
 let g_bytes =
   Metrics.gauge "views.bytes"
-    ~help:"Approximate bytes held by materialized view contents"
+    ~help:"Approximate bytes held by tier-4 snapshots"
 
-(* The set of constant property codes a view's reformulation selects on.
-   Any variable-property atom — or a property constant the store cannot
-   encode yet (a later insert could introduce it) — widens the footprint
-   to [Universal]: every data change then re-records the view. *)
+(* The set of constant property codes a fragment's reformulation selects
+   on.  Any variable-property atom — or a property constant the store
+   cannot encode yet (a later insert could introduce it) — widens the
+   footprint to [Universal]: every data change then drops the entry.
+   Within [Props], a write to other properties moves neither the
+   fragment's selections nor the counts and per-property NDVs its plan
+   order reads, and a delete's swap-remove only reorders postings of the
+   deleted triple's own keys, so the recorded charge stream and row order
+   stay those of a live evaluation. *)
 type footprint = Universal | Props of int list  (* sorted, distinct *)
-
-type def = {
-  vkey : string;
-  vcq : Bgp.t;  (* the defining cover query *)
-  vhead : string list;  (* [Bgp.head_vars vcq] — the join columns *)
-  mutable vucq : Ucq.t;  (* its reformulation, current schema generation *)
-  mutable vfootprint : footprint;
-  mutable vsnap : Engine.Executor.fragment_snapshot;
-  mutable vremat : int;  (* contents re-recordings since install *)
-}
-
-type info = {
-  key : string;
-  rows : int;
-  bytes : int;
-  rematerializations : int;
-}
-
-type t = {
-  store : Es.t;
-  recorder : Engine.Executor.t;
-      (* dedicated recording engine: record_fragment never charges it, so
-         materialization is invisible to every answering engine's
-         operation totals *)
-  reformulate : Bgp.t -> Ucq.t;
-      (* the answering layer's tier-1-backed closure — the source of the
-         physical identity the serve-time soundness check relies on *)
-  defs : (string, def) Hashtbl.t;
-  mutable dorder : string list;  (* install order, for reports *)
-  mutable vschema : int;  (* store versions the contents are valid at *)
-  mutable vdata : int;
-  mutable vhits : int;  (* per-instance counters for reports *)
-  mutable vmisses : int;
-  lock : Mutex.t;
-}
-
-let create ~reformulate store =
-  {
-    store;
-    recorder = Engine.Executor.create store;
-    reformulate;
-    defs = Hashtbl.create 64;
-    dorder = [];
-    vschema = Es.schema_version store;
-    vdata = Es.data_version store;
-    vhits = 0;
-    vmisses = 0;
-    lock = Mutex.create ();
-  }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
-(* The same canonicalization tier 1 keys reformulations by: two cover
-   queries with equal keys get the same physical UCQ from [reformulate]
-   within one schema generation. *)
-let key_of cq =
-  Bgp.to_string (Bgp.canonical (Bgp.dedup_body (Bgp.normalize cq)))
 
 let footprint_of store (u : Ucq.t) =
   let exception Any in
@@ -129,168 +68,68 @@ let footprint_of store (u : Ucq.t) =
     Props (List.sort_uniq Int.compare props)
   with Any -> Universal
 
-let bytes_locked t =
-  Hashtbl.fold
-    (fun _ d acc -> acc + Engine.Executor.snapshot_bytes d.vsnap)
-    t.defs 0
+type entry = {
+  ucq : Ucq.t;  (* the physical tier-1 UCQ the snapshot was recorded from *)
+  head : string list;  (* the recording cover query's join columns *)
+  footprint : footprint;
+  snap : Engine.Executor.fragment_snapshot;
+}
 
-let publish_gauges_locked t =
-  Metrics.set_gauge g_count (float_of_int (Hashtbl.length t.defs));
-  Metrics.set_gauge g_bytes (float_of_int (bytes_locked t))
+type t = entry Lru.t
 
-let rematerialize_locked t def =
-  def.vsnap <- Engine.Executor.record_fragment t.recorder def.vucq;
-  def.vremat <- def.vremat + 1;
-  Metrics.add m_remat 1
+let create ~capacity_bytes : t = Lru.create ~capacity_bytes
 
-(* Brings every definition up to the store's versions.  Schema change:
-   reformulations changed generation, so definitions rebuild (new UCQ,
-   new footprint) and re-record.  Data change: re-record only the
-   definitions whose footprint intersects the changed properties
-   ([changes_since]); when the bounded change log has been outrun
-   ([None]) every view re-records.  Untouched-footprint views are merely
-   restamped — their selections, statistics-driven plan orders and hence
-   recorded charge streams are unchanged by facts of other properties
-   (their answers are trivially unchanged; emission {e order} may drift
-   after id-compacting deletes, which no observable depends on). *)
-let revalidate_locked t =
-  let sv = Es.schema_version t.store and dv = Es.data_version t.store in
-  if sv <> t.vschema then begin
-    Hashtbl.iter
-      (fun _ def ->
-        def.vucq <- t.reformulate def.vcq;
-        def.vfootprint <- footprint_of t.store def.vucq;
-        rematerialize_locked t def)
-      t.defs;
-    t.vschema <- sv;
-    t.vdata <- dv;
-    publish_gauges_locked t
-  end
-  else if dv <> t.vdata then begin
-    let touched =
-      match Es.changes_since t.store ~since:t.vdata with
-      | None -> None
-      | Some changes ->
-          Some
-            (List.sort_uniq Int.compare
-               (List.map (fun (c : Es.change) -> c.Es.cp) changes))
-    in
-    Hashtbl.iter
-      (fun _ def ->
-        let affected =
-          match (touched, def.vfootprint) with
-          | None, _ | Some _, Universal -> true
-          | Some props, Props fp -> List.exists (fun p -> List.mem p fp) props
-        in
-        if affected then rematerialize_locked t def)
-      t.defs;
-    t.vdata <- dv;
-    publish_gauges_locked t
-  end
+let publish_gauges (t : t) =
+  Metrics.set_gauge g_count (float_of_int (Lru.length t));
+  Metrics.set_gauge g_bytes (float_of_int (Lru.bytes t))
 
-let install t cq =
-  let cq = Bgp.normalize cq in
-  let key = key_of cq in
-  with_lock t @@ fun () ->
-  revalidate_locked t;
-  if not (Hashtbl.mem t.defs key) then begin
-    let ucq = t.reformulate cq in
-    let snap = Engine.Executor.record_fragment t.recorder ucq in
-    Hashtbl.replace t.defs key
-      {
-        vkey = key;
-        vcq = cq;
-        vhead = Bgp.head_vars cq;
-        vucq = ucq;
-        vfootprint = footprint_of t.store ucq;
-        vsnap = snap;
-        vremat = 0;
-      };
-    t.dorder <- t.dorder @ [ key ];
-    publish_gauges_locked t
-  end
-
-let refresh t = with_lock t (fun () -> revalidate_locked t)
-
-let lookup t ((cq : Bgp.t), (u : Ucq.t)) =
-  with_lock t @@ fun () ->
-  revalidate_locked t;
-  match Hashtbl.find_opt t.defs (key_of cq) with
-  | None ->
-      t.vmisses <- t.vmisses + 1;
+(* An entry for [key] recorded from [u] itself, or [None]. *)
+let find (t : t) key u =
+  match Lru.find t key with
+  | Some e when e.ucq == u ->
+      Metrics.add m_hits 1;
+      Some e
+  | _ ->
       Metrics.add m_misses 1;
       None
-  | Some def ->
-      (* Tripwires (RDFQA_VERIFY / test builds): a keyed definition that
-         is not a sound rewrite, or contents not stamped at the store's
-         versions, reject the statement instead of being served. *)
-      Analysis.Plan_verify.check_exn (fun () ->
-          Analysis.View_verify.verify_rewrite ~context:"views/lookup"
-            ~head:def.vhead
-            ~arity:(Engine.Executor.snapshot_arity def.vsnap)
-            ~terms:(Engine.Executor.snapshot_terms def.vsnap)
-            ~cq ~ucq:u);
-      Analysis.Plan_verify.check_exn (fun () ->
-          Analysis.View_verify.verify_freshness ~context:"views/lookup"
-            ~def_schema:t.vschema ~def_data:t.vdata
-            ~schema:(Es.schema_version t.store)
-            ~data:(Es.data_version t.store));
-      (* α-renamed cover queries share one canonical key and hence one
-         physical tier-1 UCQ; the use site's head variable NAMES may
-         differ from the definition's, but both map positionally onto the
-         UCQ's head columns (Jucq.make constructs the reformulation from
-         the cover query's head), so pointer identity of the UCQ is the
-         whole soundness condition. *)
-      if def.vucq == u then begin
-        t.vhits <- t.vhits + 1;
-        Metrics.add m_hits 1;
-        Some def.vsnap
-      end
-      else begin
-        (* same key through a different reformulation cache (no physical
-           identity): structurally sound or not, serving is not provably
-           charge-identical — fall back to real evaluation *)
-        t.vmisses <- t.vmisses + 1;
-        Metrics.add m_misses 1;
-        None
-      end
 
-let count t = with_lock t @@ fun () -> Hashtbl.length t.defs
-let bytes t = with_lock t @@ fun () -> bytes_locked t
-let hits t = t.vhits
-let misses t = t.vmisses
+(* First insert wins: a racing recorder of the same UCQ gets the resident
+   entry back.  An entry recorded from another UCQ under the same key is
+   served to its own caller but not installed. *)
+let add (t : t) key e =
+  match Lru.find t key with
+  | Some r when r.ucq == e.ucq -> r
+  | Some _ -> e
+  | None ->
+      Lru.add t key ~bytes:(Engine.Executor.snapshot_bytes e.snap) e;
+      publish_gauges t;
+      e
 
-let rematerializations t =
-  with_lock t @@ fun () ->
-  Hashtbl.fold (fun _ d acc -> acc + d.vremat) t.defs 0
+let clear (t : t) =
+  let n = Lru.length t in
+  Lru.clear t;
+  Metrics.add m_remat n;
+  publish_gauges t;
+  n
 
-let definitions t =
-  with_lock t @@ fun () ->
-  List.filter_map
-    (fun key ->
-      match Hashtbl.find_opt t.defs key with
-      | None -> None
-      | Some d ->
-          Some
-            {
-              key = d.vkey;
-              rows = Engine.Executor.snapshot_rows d.vsnap;
-              bytes = Engine.Executor.snapshot_bytes d.vsnap;
-              rematerializations = d.vremat;
-            })
-    t.dorder
-
-let clear t =
-  with_lock t @@ fun () ->
-  Hashtbl.reset t.defs;
-  t.dorder <- [];
-  publish_gauges_locked t
-
-let stats_to_string t =
-  let infos = definitions t in
-  Printf.sprintf
-    "views: %d installed, %d bytes, %d hits, %d misses, %d rematerializations"
-    (List.length infos)
-    (List.fold_left (fun acc i -> acc + i.bytes) 0 infos)
-    t.vhits t.vmisses
-    (List.fold_left (fun acc i -> acc + i.rematerializations) 0 infos)
+(* Brings the entries up to a data change since data version [since]:
+   drops those whose footprint meets a changed property, or all of them
+   when the store's bounded change log no longer reaches back that far.
+   Returns how many it dropped. *)
+let invalidate (t : t) store ~since =
+  match Es.changes_since store ~since with
+  | None -> clear t
+  | Some changes ->
+      let touched =
+        List.sort_uniq Int.compare
+          (List.map (fun (c : Es.change) -> c.Es.cp) changes)
+      in
+      let n =
+        Lru.filter t (fun _ e ->
+            match e.footprint with
+            | Universal -> false
+            | Props fp -> not (List.exists (fun p -> List.mem p fp) touched))
+      in
+      Metrics.add m_remat n;
+      publish_gauges t;
+      n

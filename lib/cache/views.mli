@@ -1,72 +1,49 @@
-(** Tier 4: workload-selected materialized views.
+(** Tier 4: fragment snapshots, filled on demand.
 
-    Holds {!Engine.Executor.fragment_snapshot}s for cover queries chosen
-    by the view selector, keyed by canonical cover-query string and
-    version-stamped against the store.  {!lookup} is the probe
-    {!Engine.Executor.eval_jucq} consults per fragment: on a hit the
-    fragment's reformulate-and-scan pipeline is replaced by a charge-log
-    replay with bit-identical observables.
+    Holds {!Engine.Executor.fragment_snapshot}s of the fragment UCQs that
+    JUCQ evaluation has executed, keyed by the tier-1 canonical key of the
+    fragment's cover query, in a byte-budgeted {!Lru}.  {!Cache.fragment}
+    is the probe {!Engine.Executor.eval_jucq} consults per fragment: a
+    miss records the fragment and installs it, a hit replaces the
+    fragment's evaluation by a charge-log replay with bit-identical
+    observables.
 
-    Invalidation is incremental: definitions carry a property-code
-    footprint, and a data change only re-records the views whose
-    footprint intersects the changed properties
-    ({!Store.Encoded_store.changes_since}); a schema change rebuilds
-    every definition (reformulations changed generation).  Both happen
-    lazily, on the first probe or {!refresh} after the change. *)
+    An entry lives until a write touches it: a data change drops only the
+    entries whose property footprint meets the changed properties
+    ({!Store.Encoded_store.changes_since}); a schema change or a
+    change-log overrun drops them all.  Both happen lazily, on the next
+    cache probe after the change.  Every function here expects the owning
+    {!Cache}'s lock to be held. *)
 
-type t
+type footprint =
+  | Universal  (** a variable property: every data change touches it *)
+  | Props of int list  (** sorted, distinct constant property codes *)
 
-type info = {
-  key : string;  (** canonical cover-query string *)
-  rows : int;  (** deduplicated materialized rows *)
-  bytes : int;  (** approximate heap bytes of the snapshot *)
-  rematerializations : int;  (** contents re-recordings since install *)
+val footprint_of : Store.Encoded_store.t -> Query.Ucq.t -> footprint
+(** The property codes a fragment reformulation selects on. *)
+
+type entry = {
+  ucq : Query.Ucq.t;  (** the physical tier-1 UCQ recorded *)
+  head : string list;  (** the recording cover query's join columns *)
+  footprint : footprint;
+  snap : Engine.Executor.fragment_snapshot;
 }
 
-val create : reformulate:(Query.Bgp.t -> Query.Ucq.t) -> Store.Encoded_store.t -> t
-(** A view tier over a store.  [reformulate] {e must} be the answering
-    layer's tier-1-backed closure (one physical UCQ per canonical query
-    per schema generation): serve-time soundness is established by
-    pointer identity between a definition's reformulation and the use
-    site's. *)
+type t = entry Lru.t
 
-val install : t -> Query.Bgp.t -> unit
-(** Materializes the cover query as a view (idempotent per canonical
-    key).  Recording runs on a dedicated engine and charges nothing. *)
+val create : capacity_bytes:int -> t
 
-val lookup :
-  t ->
-  Query.Bgp.t * Query.Ucq.t ->
-  Engine.Executor.fragment_snapshot option
-(** The executor's per-fragment probe (pass [lookup v] as
-    [?views]).  Revalidates against the store versions first, then serves
-    the keyed definition only under physical identity of the
-    reformulations; every hit re-checks soundness (RF002) and freshness
-    (RF003) through {!Analysis.Plan_verify.check_exn}. *)
+val find : t -> string -> Query.Ucq.t -> entry option
+(** The entry under a key, served only when it was recorded from this
+    very UCQ (physical identity); counts a hit or a miss. *)
 
-val refresh : t -> unit
-(** Forces revalidation now (probes also revalidate lazily). *)
+val add : t -> string -> entry -> entry
+(** Installs an entry unless the key is taken; returns the entry to
+    serve (the resident one when another recorder of the same UCQ won). *)
 
-val clear : t -> unit
-(** Drops all definitions. *)
+val invalidate : t -> Store.Encoded_store.t -> since:int -> int
+(** Drops the entries a data change since data version [since] touched
+    (all of them past the change log's window); returns how many. *)
 
-val count : t -> int
-(** Installed definitions. *)
-
-val bytes : t -> int
-(** Approximate bytes across all snapshots. *)
-
-val hits : t -> int
-(** Probes served from a view (this instance). *)
-
-val misses : t -> int
-(** Probes that fell back to real evaluation (this instance). *)
-
-val rematerializations : t -> int
-(** Total contents re-recordings across definitions. *)
-
-val definitions : t -> info list
-(** Per-view report rows, in install order. *)
-
-val stats_to_string : t -> string
-(** One-line rendering for CLI output. *)
+val clear : t -> int
+(** Drops every entry; returns how many. *)

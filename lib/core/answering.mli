@@ -10,7 +10,7 @@
       the exhaustive, resp. greedy, cost-driven search of Section 4.
 
     A {!system} bundles the raw store, its lazily saturated twin, the
-    version-aware {!Cache} (reformulations, cover costs, answers),
+    version-aware {!Cache} (reformulations, cover costs, answers, fragments),
     statistics and cost model; {!answer} runs a query under a strategy and
     reports the answers plus the planning metadata (chosen cover,
     reformulation sizes, algorithm effort) that the benchmark harness
@@ -70,18 +70,6 @@ val saturated_engine : system -> Engine.Executor.t
 
 val cache : system -> Cache.t
 (** The system's cache (shared or private). *)
-
-val views : system -> Cache.Views.t option
-(** The system's tier-4 materialized view set, if enabled. *)
-
-val enable_views : system -> Cache.Views.t
-(** Returns the system's view tier, creating an empty one (bound to this
-    system's store and tier-1 reformulation closure) on first call.
-    Reformulation-strategy answers then probe it per fragment; answers
-    and operation totals are bit-identical with or without views. *)
-
-val disable_views : system -> unit
-(** Detaches the view tier: subsequent answers evaluate every fragment. *)
 
 val warm_up : system -> Query.Bgp.t list -> unit
 (** Pre-interns everything compilation could dictionary-encode on demand

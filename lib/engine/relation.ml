@@ -44,13 +44,14 @@ let project r columns =
     (fun j ->
       if j < 0 || j >= r.ncols then invalid_arg "Relation.project: bad column")
     columns;
-  let out = create ~cols:(Array.length columns) in
-  let buf = Array.make (Array.length columns) 0 in
+  let w = Array.length columns in
+  let data = Array.make (max 1 (r.nrows * w)) 0 in
   for i = 0 to r.nrows - 1 do
-    Array.iteri (fun k j -> buf.(k) <- r.data.((i * r.ncols) + j)) columns;
-    append out buf
+    Array.iteri
+      (fun k j -> data.((i * w) + k) <- r.data.((i * r.ncols) + j))
+      columns
   done;
-  out
+  { ncols = w; data; nrows = r.nrows }
 
 (* Set semantics by streaming: the table's key store is the result, so no
    pre-dedup row is ever stored and the distinct rows are never copied. *)

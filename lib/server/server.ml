@@ -285,7 +285,6 @@ let stats_lines t =
     Printf.sprintf "waiting_writers=%d" (Epoch.waiting_writers t.ep);
     Printf.sprintf "reads=%d" (Epoch.reads t.ep);
     Printf.sprintf "writes=%d" (Epoch.writes t.ep);
-    Printf.sprintf "deferred_run=%d" (Epoch.deferred_run t.ep);
     Printf.sprintf "requests=%d" (Atomic.get t.served);
     Printf.sprintf "inflight=%d" (Atomic.get t.inflight);
     Printf.sprintf "triples=%d" (Es.size t.store);

@@ -34,9 +34,10 @@ val insert_code : t -> int -> int -> int -> unit
 val delete : t -> Rdf.Triple.t -> bool
 (** Deletes one data triple; returns whether it was stored.  The store is
     compacted by swap-remove: the last triple takes over the deleted
-    triple's id, so ids are dense but not stable across deletions.  Never
-    grows the dictionary.  Raises [Invalid_argument] on an
-    RDFS-constraint triple. *)
+    triple's id, so ids are dense but not stable across deletions.  Each
+    triple's position in its six postings is kept, so a delete costs O(1)
+    per posting, not a scan.  Never grows the dictionary.  Raises
+    [Invalid_argument] on an RDFS-constraint triple. *)
 
 val delete_code : t -> int -> int -> int -> bool
 (** Deletes an already-encoded triple; returns whether it was stored. *)

@@ -2,7 +2,7 @@
    snapshot isolation here means: no mutation while any reader is pinned.
    Readers admit under [no writer active or waiting]; a writer first wins
    the writer baton, then waits for the pinned epoch to drain (active = 0),
-   mutates, bumps the epoch, flushes deferred reclamation, and releases.
+   mutates, bumps the epoch, and releases.
    All state sits behind one mutex; the two condition variables separate
    "a writer finished" (wakes readers and the next writer) from "the last
    reader left" (wakes the draining writer). *)
@@ -15,10 +15,8 @@ type t = {
   mutable active : int;         (* readers inside a section *)
   mutable writer_active : bool;
   mutable writers_queued : int; (* writers admitted or waiting *)
-  mutable deferred : (unit -> unit) list; (* newest first *)
   mutable n_reads : int;
   mutable n_writes : int;
-  mutable n_deferred_run : int;
 }
 
 let create () =
@@ -30,10 +28,8 @@ let create () =
     active = 0;
     writer_active = false;
     writers_queued = 0;
-    deferred = [];
     n_reads = 0;
     n_writes = 0;
-    n_deferred_run = 0;
   }
 
 let with_lock t f =
@@ -46,10 +42,6 @@ let waiting_writers t =
   with_lock t (fun () -> t.writers_queued + if t.writer_active then 1 else 0)
 let reads t = with_lock t (fun () -> t.n_reads)
 let writes t = with_lock t (fun () -> t.n_writes)
-let deferred_pending t = with_lock t (fun () -> List.length t.deferred)
-let deferred_run t = with_lock t (fun () -> t.n_deferred_run)
-
-let defer t thunk = with_lock t (fun () -> t.deferred <- thunk :: t.deferred)
 
 let read t f =
   Mutex.lock t.m;
@@ -85,26 +77,7 @@ let write t f =
       Mutex.lock t.m;
       t.cur_epoch <- t.cur_epoch + 1;
       t.n_writes <- t.n_writes + 1;
-      let thunks = List.rev t.deferred in
-      t.deferred <- [];
-      Mutex.unlock t.m;
-      (* Reclamation runs after the bump but before release: the epoch the
-         thunks clean up after has provably drained (writer_active still
-         excludes readers).  The mutex is NOT held, so a thunk may call
-         back into the coordinator's accessors — or defer again, queueing
-         for the next write. *)
-      let run = ref 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.lock t.m;
-          t.n_deferred_run <- t.n_deferred_run + !run;
-          t.writer_active <- false;
-          Condition.broadcast t.turn;
-          Mutex.unlock t.m)
-        (fun () ->
-          List.iter
-            (fun thunk ->
-              thunk ();
-              incr run)
-            thunks))
+      t.writer_active <- false;
+      Condition.broadcast t.turn;
+      Mutex.unlock t.m)
     f

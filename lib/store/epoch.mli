@@ -10,10 +10,9 @@
       while no writer is active or waiting, and for the whole read section
       the store's [schema_version]/[data_version] pair cannot move;
     - writers {e drain the pinned epoch}: {!write} blocks new readers,
-      waits until every admitted reader has left, applies the mutation,
-      bumps the epoch counter and only then runs any reclamation thunks the
-      mutation {!defer}red — in-place cleanup never executes under a live
-      reader.
+      waits until every admitted reader has left, applies the mutation and
+      bumps the epoch counter — in-place mutation never executes under a
+      live reader.
 
     Writers have preference (a waiting writer stops new readers from being
     admitted) so a steady read stream cannot starve mutations.  Both
@@ -37,14 +36,7 @@ val read : t -> (int -> 'a) -> 'a
 val write : t -> (unit -> 'a) -> 'a
 (** [write t f] serializes the caller with other writers, stops admitting
     readers, waits for every active reader to drain, then runs [f].  After
-    [f] returns the epoch is bumped and deferred reclamation thunks run,
-    still under writer exclusion, before readers are re-admitted. *)
-
-val defer : t -> (unit -> unit) -> unit
-(** Queues a reclamation thunk.  Called from inside a {!write} section it
-    runs at the end of that same section (after the epoch bump); called
-    outside it runs at the end of the next one.  Thunks run oldest first
-    and must not raise. *)
+    [f] returns the epoch is bumped and readers are re-admitted. *)
 
 (** {1 Introspection} — feed the [server.*] gauges. *)
 
@@ -59,9 +51,3 @@ val reads : t -> int
 
 val writes : t -> int
 (** Completed write sections since {!create} (equals {!epoch}). *)
-
-val deferred_pending : t -> int
-(** Reclamation thunks queued but not yet run. *)
-
-val deferred_run : t -> int
-(** Reclamation thunks executed so far. *)

@@ -29,16 +29,6 @@ let pop v =
   v.len <- v.len - 1;
   v.data.(v.len)
 
-let swap_remove_value v x =
-  let rec find i = if i >= v.len then -1 else if v.data.(i) = x then i else find (i + 1) in
-  let i = find 0 in
-  if i < 0 then false
-  else begin
-    let last = pop v in
-    if i < v.len then v.data.(i) <- last;
-    true
-  end
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)

@@ -29,11 +29,6 @@ val pop : t -> int
     empty vector.  With {!set}, this is the swap-remove primitive the
     store's deletion path uses on columns and posting lists. *)
 
-val swap_remove_value : t -> int -> bool
-(** [swap_remove_value v x] removes one occurrence of [x] by overwriting it
-    with the last element and shrinking by one (order is not preserved).
-    Returns [false] when [x] does not occur.  O(length). *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterates in index order. *)
 

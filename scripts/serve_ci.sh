@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI serving/soak gate: boot `rdfqa serve` on a quick-scale LUBM dataset,
-# drive a scripted client mix against it, and hard-gate four contracts:
+# drive a scripted client mix against it, and hard-gate five contracts:
 #
 #   1. every read's rows are bit-identical to a single-shot
 #      `rdfqa query` over the same store state, also when two clients
@@ -12,7 +12,10 @@
 #      the process-global domain pool joined (no leaked domains);
 #   3. nothing in the mix is answered with ERR (the client exits 1 on any);
 #   4. after the writes, PROM's sampled store and epoch gauges equal the
-#      STATS fields they mirror.
+#      STATS fields they mirror;
+#   5. after interleaved writes, tier 4 (fragment snapshots) serves the
+#      two concurrent clients' reads: PROM's rdfqa_views_hits_total rises
+#      while every payload stays bit-identical.
 #
 # Usage: scripts/serve_ci.sh [jobs]
 #   RDFQA=path/to/rdfqa.exe overrides the binary (default: the dune build
@@ -120,14 +123,17 @@ for wq in $PAR $PAR; do
   reference "$wq" >> "$WORK/par.want"
   par_args+=(--workload-query "$wq")
 done
-client "${par_args[@]}" > "$WORK/par1.rows" 2> /dev/null &
-PAR1=$!
-client "${par_args[@]}" > "$WORK/par2.rows" 2> /dev/null &
-PAR2=$!
-wait "$PAR1" || { echo "serve_ci: FAIL — concurrent client 1 failed" >&2; exit 1; }
-wait "$PAR2" || { echo "serve_ci: FAIL — concurrent client 2 failed" >&2; exit 1; }
-check_identical "concurrent client 1 ($PAR, twice)" "$WORK/par1.rows" "$WORK/par.want"
-check_identical "concurrent client 2 ($PAR, twice)" "$WORK/par2.rows" "$WORK/par.want"
+concurrent_pair() { # concurrent_pair LABEL
+  client "${par_args[@]}" > "$WORK/par1.rows" 2> /dev/null &
+  local par1=$!
+  client "${par_args[@]}" > "$WORK/par2.rows" 2> /dev/null &
+  local par2=$!
+  wait "$par1" || { echo "serve_ci: FAIL — $1 client 1 failed" >&2; exit 1; }
+  wait "$par2" || { echo "serve_ci: FAIL — $1 client 2 failed" >&2; exit 1; }
+  check_identical "$1 client 1 ($PAR, twice)" "$WORK/par1.rows" "$WORK/par.want"
+  check_identical "$1 client 2 ($PAR, twice)" "$WORK/par2.rows" "$WORK/par.want"
+}
+concurrent_pair concurrent
 
 # --- phase 3: interleaved mutation ------------------------------------------
 # INSERT, read, DELETE, read — twice.  The post-insert reference replays
@@ -148,6 +154,24 @@ for round in 1 2; do
   client --workload-query $MUT > "$WORK/mut.rows" 2> /dev/null
   check_identical "round $round post-delete $MUT" "$WORK/mut.rows" "$WORK/mut.base"
 done
+
+# --- phase 3b: tier 4 across the writes -------------------------------------
+# The two concurrent clients again, on the store state the DELETEs
+# restored.  Every write flushed the answer tier, so these reads execute
+# their JUCQs; fragments no write touched, and fragments one template
+# recorded for another, replay from tier 4.
+views_hits() {
+  client PROM 2> /dev/null | sed -n 's/^rdfqa_views_hits_total //p'
+}
+hits0=$(views_hits)
+concurrent_pair "post-write concurrent"
+hits1=$(views_hits)
+if ! awk -v a="${hits0:-x}" -v b="${hits1:-x}" \
+     'BEGIN { exit !(a ~ /^[0-9.e+]+$/ && b ~ /^[0-9.e+]+$/ && b > a) }'; then
+  echo "serve_ci: FAIL — tier 4 served no fragment after the writes (rdfqa_views_hits_total '$hits0' -> '$hits1')" >&2
+  exit 1
+fi
+echo "serve_ci: ok — tier 4 served fragments after the writes (rdfqa_views_hits_total $hits0 -> $hits1)"
 
 # A per-request strategy override must agree with the same single-shot
 # strategy (ECov is excluded from identity checks: its anytime search is

@@ -840,6 +840,78 @@ let test_overflow_between_distinct_and_emitted () =
             (Engine.Executor.total_operations ex))
     [ ("Q08", 15300, 31142); ("Q03", 1183, 3564); ("Q16", 3600, 7321) ]
 
+(* A head that keeps every joined column projects the joined rows by
+   copying them; the hash set the other heads stream through would find
+   no duplicate.  For each template's GCov JUCQ on LUBM-1 and DBLP-2000,
+   under every profile, the copy must give the rows, the row order and
+   the operations (or the failure) of the sink path.  Each template also
+   runs with its last head variable dropped, a head that must still take
+   the sink. *)
+let test_head_copy_matches_sink () =
+  let copied = ref 0 and sunk = ref 0 in
+  let with_projection (qn, (q : Bgp.t)) =
+    match List.rev q.Bgp.head with
+    | _ :: (_ :: _ as kept) ->
+        [ (qn, q); (qn ^ " projected", Bgp.make (List.rev kept) q.Bgp.body) ]
+    | _ -> [ (qn, q) ]
+  in
+  List.iter
+    (fun (store, queries) ->
+      let sys0 = Rqa.Answering.make store in
+      Rqa.Answering.warm_up sys0 (List.map snd queries);
+      List.iter
+        (fun (p : Engine.Profile.t) ->
+          let cache = Cache.create ~mode:Cache.Off store in
+          let sys = Rqa.Answering.make ~profile:p ~cache store in
+          List.iter
+            (fun (qn, q) ->
+              let q = Bgp.normalize q in
+              let obj = Rqa.Answering.objective sys q in
+              let cover = (Rqa.Gcov.search obj).Rqa.Gcov.cover in
+              match
+                Jucq.make ~reformulate:(Rqa.Objective.reformulate obj) q cover
+              with
+              | exception Reformulation.Reformulate.Too_large _ -> ()
+              | j ->
+                  let joined =
+                    List.concat_map
+                      (fun ((cq : Bgp.t), _) -> Bgp.head_vars cq)
+                      j.Jucq.fragments
+                  in
+                  if
+                    List.for_all
+                      (fun v -> List.mem (Bgp.Var v) j.Jucq.head)
+                      joined
+                  then incr copied
+                  else incr sunk;
+                  let run head_sink =
+                    let ex = Engine.Executor.create ~profile:p store in
+                    match Engine.Executor.eval_jucq ~head_sink ex j with
+                    | r ->
+                        Ok
+                          ( Engine.Relation.to_list r,
+                            Engine.Executor.last_operations ex )
+                    | exception Engine.Profile.Engine_failure { reason; _ } ->
+                        Error
+                          ( Engine.Profile.failure_to_string reason,
+                            Engine.Executor.total_operations ex )
+                  in
+                  if run false <> run true then
+                    Alcotest.fail
+                      (Printf.sprintf "%s %s: head copy differs from the sink"
+                         p.Engine.Profile.name qn))
+            (List.concat_map with_projection queries))
+        Engine.Profile.all)
+    [
+      ( Workloads.Lubm.generate { Workloads.Lubm.universities = 1 },
+        Workloads.Lubm.queries );
+      ( Workloads.Dblp.generate { Workloads.Dblp.publications = 2000 },
+        Workloads.Dblp.queries );
+    ];
+  Alcotest.(check bool) "some heads keep every joined column" true
+    (!copied > 0);
+  Alcotest.(check bool) "some heads drop a joined column" true (!sunk > 0)
+
 let () =
   Alcotest.run "engine"
     [
@@ -873,6 +945,8 @@ let () =
             test_overflow_between_distinct_and_emitted;
           Alcotest.test_case "LUBM-1 cold pass pinned" `Slow
             test_lubm1_pass_pinned;
+          Alcotest.test_case "head copy = sink, LUBM-1 and DBLP-2000" `Slow
+            test_head_copy_matches_sink;
         ] );
       ( "plan_cache",
         [

@@ -121,30 +121,6 @@ let test_epoch_read_pins () =
   Alcotest.(check int) "pins bumped epoch" 1 (Epoch.read ep (fun e -> e));
   Alcotest.(check int) "writes counted" 1 (Epoch.writes ep)
 
-let test_epoch_defer () =
-  let ep = Epoch.create () in
-  let runs = ref 0 in
-  Epoch.defer ep (fun () -> incr runs);
-  Alcotest.(check int) "queued, not run" 0 !runs;
-  Alcotest.(check int) "pending" 1 (Epoch.deferred_pending ep);
-  ignore (Epoch.write ep (fun () -> ()));
-  Alcotest.(check int) "runs at next write" 1 !runs;
-  Alcotest.(check int) "drained" 0 (Epoch.deferred_pending ep);
-  Alcotest.(check int) "counted" 1 (Epoch.deferred_run ep);
-  (* deferred from inside a write section runs at that section's end,
-     after the epoch bump *)
-  let seen_epoch = ref (-1) in
-  ignore
-    (Epoch.write ep (fun () ->
-         Epoch.defer ep (fun () -> seen_epoch := Epoch.epoch ep)));
-  Alcotest.(check int) "same-section thunk ran after bump" 2 !seen_epoch;
-  (* oldest first *)
-  let order = ref [] in
-  Epoch.defer ep (fun () -> order := 1 :: !order);
-  Epoch.defer ep (fun () -> order := 2 :: !order);
-  ignore (Epoch.write ep (fun () -> ()));
-  Alcotest.(check (list int)) "oldest first" [ 2; 1 ] !order
-
 let test_epoch_exception_safety () =
   let ep = Epoch.create () in
   (try Epoch.read ep (fun _ -> failwith "reader") with Failure _ -> ());
@@ -332,7 +308,6 @@ let stress_once ops =
   while Atomic.get started < Array.length pairs && Atomic.get failure = None do
     Thread.delay 0.001
   done;
-  let reclaimed = ref 0 in
   List.iter
     (fun i ->
       let t = stress_pool.(i mod Array.length stress_pool) in
@@ -340,7 +315,6 @@ let stress_once ops =
           (* toggle: every op is an effective change, so each data version
              denotes exactly one store state *)
           if not (Es.delete store t) then Es.insert store t;
-          Epoch.defer ep (fun () -> incr reclaimed);
           record ()))
     ops;
   Atomic.set stop true;
@@ -350,7 +324,6 @@ let stress_once ops =
   | None -> ());
   Alcotest.(check int) "every write completed" (List.length ops)
     (Epoch.writes ep);
-  Alcotest.(check int) "every deferred thunk ran" (List.length ops) !reclaimed;
   Alcotest.(check bool) "readers made progress" true (Epoch.reads ep > 0);
   true
 
@@ -811,7 +784,6 @@ let () =
         [
           Alcotest.test_case "fresh coordinator" `Quick test_epoch_fresh;
           Alcotest.test_case "read pins, write bumps" `Quick test_epoch_read_pins;
-          Alcotest.test_case "deferred reclamation" `Quick test_epoch_defer;
           Alcotest.test_case "exception safety" `Quick test_epoch_exception_safety;
           Alcotest.test_case "write drains readers" `Quick
             test_epoch_write_drains_readers;

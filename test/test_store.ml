@@ -273,9 +273,98 @@ let prop_saturate_matches_graph_saturation =
       in
       Rdf.Graph.equal (Store.Encoded_store.to_graph sat_store) sat_graph)
 
+(* Deletes find posting entries through each triple's recorded positions.
+   The reference below is the scanning delete they replace: search each
+   posting for the id, overwrite it with the posting's last entry, and
+   relabel the store's last triple in place.  Every posting must hold the
+   same ids in the same order after any insert/delete sequence. *)
+let reference_postings ops =
+  let cols = ref [||] in
+  let post : (int * int * int, int array) Hashtbl.t = Hashtbl.create 16 in
+  let keys (s, p, o) =
+    [ (0, s, 0); (1, p, 0); (2, o, 0); (3, s, p); (4, p, o); (5, s, o) ]
+  in
+  let find_index a x =
+    let rec go i = if a.(i) = x then i else go (i + 1) in
+    go 0
+  in
+  List.iter
+    (fun (insert, t) ->
+      match (insert, find_index (Array.append !cols [| t |]) t) with
+      | true, i when i = Array.length !cols ->
+          cols := Array.append !cols [| t |];
+          List.iter
+            (fun k ->
+              let v = Option.value ~default:[||] (Hashtbl.find_opt post k) in
+              Hashtbl.replace post k (Array.append v [| i |]))
+            (keys t)
+      | false, id when id < Array.length !cols ->
+          let last = Array.length !cols - 1 in
+          List.iter
+            (fun k ->
+              let v = Array.copy (Hashtbl.find post k) in
+              let n = Array.length v in
+              v.(find_index v id) <- v.(n - 1);
+              if n = 1 then Hashtbl.remove post k
+              else Hashtbl.replace post k (Array.sub v 0 (n - 1)))
+            (keys t);
+          if id <> last then begin
+            let lt = !cols.(last) in
+            List.iter
+              (fun k ->
+                let v = Array.copy (Hashtbl.find post k) in
+                v.(find_index v last) <- id;
+                Hashtbl.replace post k v)
+              (keys lt);
+            !cols.(id) <- lt
+          end;
+          cols := Array.sub !cols 0 last
+      | _ -> ())
+    ops;
+  post
+
+let prop_delete_postings_match_scan =
+  QCheck2.Test.make ~count:200
+    ~name:"positioned deletes leave the scanning deletes' postings"
+    QCheck2.Gen.(
+      list_size (int_bound 80)
+        (pair bool (triple (int_bound 4) (int_bound 2) (int_bound 4))))
+    (fun ops ->
+      let store = Store.Encoded_store.create Rdf.Schema.empty in
+      List.iter
+        (fun (insert, (s, p, o)) ->
+          if insert then Store.Encoded_store.insert_code store s p o
+          else ignore (Store.Encoded_store.delete_code store s p o))
+        ops;
+      let reference = reference_postings ops in
+      Hashtbl.fold
+        (fun (kind, a, b) ids ok ->
+          let some x = Some x in
+          let ps, pp, po =
+            match kind with
+            | 0 -> (some a, None, None)
+            | 1 -> (None, some a, None)
+            | 2 -> (None, None, some a)
+            | 3 -> (some a, some b, None)
+            | 4 -> (None, some a, some b)
+            | _ -> (some a, None, some b)
+          in
+          ok
+          && Store.Intvec.to_array
+               (Store.Encoded_store.matching store
+                  { Store.Encoded_store.ps; pp; po })
+             = ids)
+        reference true
+      && Hashtbl.length reference > 0
+         = (Store.Encoded_store.size store > 0))
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_count_matches_naive; prop_saturate_matches_graph_saturation ]
+    [
+      prop_count_matches_naive;
+      prop_saturate_matches_graph_saturation;
+      prop_delete_postings_match_scan;
+    ]
 
 let () =
   Alcotest.run "store"

@@ -1,16 +1,16 @@
-(* Tests for the materialized-view tier (Cache.Views) and workload-driven
-   selection (Rqa.View_select): serving must be observably invisible —
-   decoded answers, per-statement operation totals and failure reasons
-   bit-identical with views on and off, across engine profiles and jobs
-   settings — and maintenance must be incremental: a data change
-   re-records only the views whose property footprint it touches, and the
-   incrementally maintained contents must match a from-scratch rebuild. *)
+(* Tests for cache tier 4, the demand-filled fragment snapshots: serving
+   must be observably invisible — decoded answers, per-statement operation
+   totals and failure reasons bit-identical with the tier on and off,
+   across engine profiles and jobs settings — and invalidation must be
+   footprint-scoped: a data change drops only the fragments whose
+   property footprint it touches, and what it keeps must still replay
+   exactly what a live evaluation computes. *)
 
 open Query
 module Es = Store.Encoded_store
 
 (* Every plan compiled while this suite runs goes through the static
-   verifier, which also arms the RF002/RF003 serve-time tripwires. *)
+   verifier, which also arms the RF002/RF003 tier-4 tripwires. *)
 let () = Analysis.Plan_verify.set_enabled true
 
 let u s = Rdf.Term.uri s
@@ -31,10 +31,11 @@ let schema =
       Rdf.Schema.Subproperty (u "doctorFrom", u "degreeFrom");
     ]
 
-(* Every schema term also appears in a fact, so each property constant a
-   reformulation mentions is in the dictionary and view footprints stay
-   [Props] (an unencodable constant widens a footprint to [Universal],
-   which would defeat the incrementality this suite asserts). *)
+(* Every schema term also appears in a fact, so each constant a
+   reformulation mentions is in the dictionary: every fragment can be
+   recorded (a disjunct with an absent body constant cannot) and its
+   footprint stays [Props] (an unencodable property widens it to
+   [Universal], which would defeat the scoping this suite asserts). *)
 let base_facts =
   tr (u "p0") (u "degreeFrom") (u "univ1")
   :: tr (u "p0") (u "memberOf") (u "org0")
@@ -87,21 +88,29 @@ let workload =
     ("q_member_renamed", q_member_renamed);
   ]
 
-let budget = 64 * 1024 * 1024
-
-(* Two systems over ONE store and ONE cache: tier-1 physical identity
-   (the serve-time soundness premise) holds across them, and the answer
-   tier is off so every measured answer is a real evaluation. *)
+(* A tier-4 system and its baseline over ONE store: the baseline's cache
+   is off, and the tier-4 system's answer tier holds nothing (every entry
+   outweighs its one-byte budget), so every measured answer on either
+   side is a real evaluation — replayed fragments on one side, live ones
+   on the other. *)
 let fresh_pair ?(profile = Engine.Profile.postgres_like) () =
   let store = fresh_store () in
-  let cache = Cache.create store in
-  let sys_base = Rqa.Answering.make ~profile ~cache store in
-  let sys_views = Rqa.Answering.make ~profile ~cache store in
-  Cache.set_mode cache Cache.Answers_off;
+  let sys_base =
+    Rqa.Answering.make ~profile ~cache:(Cache.create ~mode:Cache.Off store)
+      store
+  in
+  let sys_views =
+    Rqa.Answering.make ~profile
+      ~cache:(Cache.create ~mode:Cache.On ~answer_capacity_bytes:1 store)
+      store
+  in
   (store, sys_base, sys_views)
 
-(* Everything views could observably change about one statement: decoded
-   rows, the per-statement operation total, or the failure reason. *)
+let fragment_stats sys = (Cache.stats (Rqa.Answering.cache sys)).Cache.fragment
+
+(* Everything tier 4 could observably change about one statement:
+   decoded rows, the per-statement operation total, or the failure reason
+   and the operations charged up to the failure. *)
 let outcome sys strat q =
   match Rqa.Answering.answer sys strat q with
   | r ->
@@ -112,9 +121,16 @@ let outcome sys strat q =
             (Engine.Executor.decode ex r.Rqa.Answering.answers),
           Engine.Executor.last_operations ex )
   | exception Engine.Profile.Engine_failure { reason; _ } ->
-      Error (Engine.Profile.failure_to_string reason)
+      Error
+        ( Engine.Profile.failure_to_string reason,
+          Engine.Executor.last_operations (Rqa.Answering.engine sys) )
 
-let strategies = Rqa.View_select.default_strategies
+let strategies =
+  [
+    Rqa.Answering.Ecov
+      { Rqa.Cover_space.default_budget with max_millis = infinity };
+    Rqa.Answering.Gcov;
+  ]
 
 let check_agreement ~msg sys_base sys_views =
   List.iter
@@ -124,7 +140,7 @@ let check_agreement ~msg sys_base sys_views =
           let b = outcome sys_base strat q and w = outcome sys_views strat q in
           if b <> w then
             Alcotest.fail
-              (Printf.sprintf "%s: %s/%s diverges with views on" msg name
+              (Printf.sprintf "%s: %s/%s diverges with tier 4 on" msg name
                  (Rqa.Answering.strategy_name strat)))
         workload)
     strategies
@@ -138,26 +154,24 @@ let test_differential_profiles_jobs () =
         (fun jobs ->
           Par.set_jobs jobs;
           let _store, sys_base, sys_views = fresh_pair ~profile () in
-          let sel =
-            Rqa.View_select.select_and_install ~budget sys_views workload
+          let msg =
+            Printf.sprintf "%s/jobs=%d" profile.Engine.Profile.name jobs
           in
+          (* the first pass fills tier 4, the second replays from it *)
+          check_agreement ~msg sys_base sys_views;
+          let filled = fragment_stats sys_views in
+          check_agreement ~msg:(msg ^ " replayed") sys_base sys_views;
+          let replayed = fragment_stats sys_views in
           Alcotest.(check bool)
-            "selection is non-empty" true
-            (sel.Rqa.View_select.selected <> []);
-          let vt = Option.get (Rqa.Answering.views sys_views) in
-          check_agreement
-            ~msg:
-              (Printf.sprintf "%s/jobs=%d" profile.Engine.Profile.name jobs)
-            sys_base sys_views;
+            "fragments recorded" true (filled.Cache.entries > 0);
           Alcotest.(check bool)
-            "views actually served" true
-            (Cache.Views.hits vt > 0);
-          (* under the permissive profile nothing is capacity-refused, the
-             budget holds every candidate, and selection mined exactly the
-             strategies measured — so every fragment evaluation must hit,
+            "fragments replayed" true (replayed.Cache.hits > filled.Cache.hits);
+          (* under the permissive profile nothing is refused, so every
+             fragment the first pass recorded serves the second pass,
              including the α-renamed duplicate's *)
           if profile == Engine.Profile.postgres_like then
-            Alcotest.(check int) "no misses" 0 (Cache.Views.misses vt))
+            Alcotest.(check int) "no second-pass misses" filled.Cache.misses
+              replayed.Cache.misses)
         [ 1; 4 ])
     [
       Engine.Profile.postgres_like;
@@ -166,91 +180,106 @@ let test_differential_profiles_jobs () =
     ];
   Par.set_jobs 1
 
-(* ---- selection mechanics ---- *)
-
-let test_budget_zero_selects_nothing () =
-  let _store, sys_base, sys_views = fresh_pair () in
-  let sel =
-    Rqa.View_select.select_and_install ~budget:0 sys_views workload
+(* An operation budget that trips part-way through [q_join], whose GCov
+   cover runs three fragments: on a miss a fragment is recorded, installed
+   and replayed, and on the repeat it is replayed from the tier.  Either
+   way the statement must fail on the charge live evaluation fails on,
+   with the same operation count.  Every budget from half the statement's
+   operations up is tried, so some trip inside a replayed run of equal
+   charges. *)
+let test_budget_trips_in_replay () =
+  Par.set_jobs 1;
+  let store, sys_base, _ = fresh_pair () in
+  let total =
+    match outcome sys_base Rqa.Answering.Gcov q_join with
+    | Ok (_, ops) -> ops
+    | Error _ -> Alcotest.fail "q_join fails under postgres-like"
   in
-  Alcotest.(check int) "nothing selected" 0
-    (List.length sel.Rqa.View_select.selected);
+  let tripped_after_fill = ref 0 in
+  for budget = total / 2 to total - 1 do
+    let profile =
+      {
+        Engine.Profile.postgres_like with
+        Engine.Profile.max_operations = budget;
+      }
+    in
+    let sys_base =
+      Rqa.Answering.make ~profile ~cache:(Cache.create ~mode:Cache.Off store)
+        store
+    and sys_views =
+      Rqa.Answering.make ~profile
+        ~cache:(Cache.create ~mode:Cache.On ~answer_capacity_bytes:1 store)
+        store
+    in
+    List.iter
+      (fun pass ->
+        let before = (fragment_stats sys_views).Cache.entries in
+        let w = outcome sys_views Rqa.Answering.Gcov q_join in
+        if w <> outcome sys_base Rqa.Answering.Gcov q_join then
+          Alcotest.fail
+            (Printf.sprintf "budget %d, %s: diverges with tier 4 on" budget
+               pass);
+        if
+          Result.is_error w
+          && (fragment_stats sys_views).Cache.entries > before
+        then incr tripped_after_fill)
+      [ "miss"; "repeat" ]
+  done;
   Alcotest.(check bool)
-    "candidates still scored" true
-    (sel.Rqa.View_select.candidates <> []);
-  (* an empty view tier must still answer identically (all misses) *)
-  check_agreement ~msg:"budget=0" sys_base sys_views
+    "some budget trips after a fragment was recorded" true
+    (!tripped_after_fill > 0)
 
-let test_selection_deterministic () =
-  let select () =
-    let _store, _sys_base, sys_views = fresh_pair () in
-    let sel = Rqa.View_select.select ~budget sys_views workload in
-    List.map
-      (fun (cand : Rqa.View_select.candidate) ->
-        (cand.Rqa.View_select.key, cand.Rqa.View_select.uses))
-      sel.Rqa.View_select.candidates
-  in
-  Alcotest.(check (list (pair string int)))
-    "same candidates in the same order on a rebuilt store" (select ())
-    (select ())
+(* ---- footprint-scoped invalidation ---- *)
 
-(* ---- incremental maintenance ---- *)
-
-(* Manual installs pin down exactly which footprints exist:
-   [q_degree]'s reformulation mentions only degreeFrom/mastersFrom/
-   doctorFrom, [q_member]'s only memberOf/worksFor — disjoint, so each
-   mutation below must re-record one and merely restamp the other. *)
+(* Single-atom queries pin down exactly which fragments exist: GCov runs
+   each as one fragment, [q_degree]'s reformulation mentions only
+   degreeFrom/mastersFrom/doctorFrom, [q_member]'s only memberOf/worksFor
+   — disjoint, so each mutation below must drop one and keep the other. *)
 let test_incremental_footprint () =
   Par.set_jobs 1;
   let store, sys_base, sys_views = fresh_pair () in
-  let vt = Rqa.Answering.enable_views sys_views in
-  Cache.Views.install vt q_degree;
-  Cache.Views.install vt q_member;
-  let remats () =
-    List.map
-      (fun (i : Cache.Views.info) -> i.Cache.Views.rematerializations)
-      (Cache.Views.definitions vt)
+  let answer q =
+    ignore (Rqa.Answering.answer sys_views Rqa.Answering.Gcov q)
   in
-  Alcotest.(check (list int)) "freshly installed" [ 0; 0 ] (remats ());
-  (* a memberOf-footprint fact: only the member view re-records *)
+  (* which of [q_degree], [q_member] replayed a kept fragment *)
+  let served () =
+    List.map
+      (fun q ->
+        let before = (fragment_stats sys_views).Cache.hits in
+        answer q;
+        (fragment_stats sys_views).Cache.hits > before)
+      [ q_degree; q_member ]
+  in
+  Alcotest.(check (list bool)) "first use records" [ false; false ]
+    (served ());
+  Alcotest.(check (list bool)) "then replays" [ true; true ] (served ());
+  (* a memberOf-footprint fact: only the member fragment is dropped *)
   Es.insert store (tr (u "personNew") (u "worksFor") (u "org1"));
-  Cache.Views.refresh vt;
-  Alcotest.(check (list int)) "worksFor insert" [ 0; 1 ] (remats ());
-  (* a degreeFrom-footprint fact: only the degree view re-records *)
+  Alcotest.(check (list bool)) "worksFor insert" [ true; false ] (served ());
+  (* a degreeFrom-footprint fact: only the degree fragment is dropped *)
   Es.insert store (tr (u "personNew") (u "mastersFrom") (u "univ1"));
-  Cache.Views.refresh vt;
-  Alcotest.(check (list int)) "mastersFrom insert" [ 1; 1 ] (remats ());
-  (* a property no reformulation mentions: both merely restamp *)
+  Alcotest.(check (list bool)) "mastersFrom insert" [ false; true ]
+    (served ());
+  (* a property no reformulation mentions: both are kept *)
   Es.insert store (tr (u "personNew") (u "unrelatedProp") (u "z"));
-  Cache.Views.refresh vt;
-  Alcotest.(check (list int)) "unrelated insert" [ 1; 1 ] (remats ());
+  Alcotest.(check (list bool)) "unrelated insert" [ true; true ] (served ());
   (* a delete compacts the store (swap-remove); only the touched
-     footprint re-records, and serving stays bit-identical *)
+     footprint is dropped, and serving stays bit-identical *)
   Alcotest.(check bool) "delete effective" true
     (Es.delete store (tr (u "person0") (u "mastersFrom") (u "univ0")));
-  Cache.Views.refresh vt;
-  Alcotest.(check (list int)) "mastersFrom delete" [ 2; 1 ] (remats ());
+  Alcotest.(check (list bool)) "mastersFrom delete" [ false; true ]
+    (served ());
+  Alcotest.(check int) "two entries resident" 2
+    (fragment_stats sys_views).Cache.entries;
   check_agreement ~msg:"after interleaved inserts/deletes" sys_base sys_views;
-  (* the incrementally maintained contents must equal a from-scratch
-     rebuild over the mutated store: same keys, same rows, same bytes *)
-  let cache2 = Cache.create store in
+  (* what the kept entries replay equals a fresh tier over the mutated
+     store, which records every fragment anew *)
   let sys_cold =
-    Rqa.Answering.make ~profile:Engine.Profile.postgres_like ~cache:cache2
+    Rqa.Answering.make
+      ~cache:(Cache.create ~mode:Cache.On ~answer_capacity_bytes:1 store)
       store
   in
-  Cache.set_mode cache2 Cache.Answers_off;
-  let vc = Rqa.Answering.enable_views sys_cold in
-  Cache.Views.install vc q_degree;
-  Cache.Views.install vc q_member;
-  let shape vt' =
-    List.map
-      (fun (i : Cache.Views.info) ->
-        (i.Cache.Views.key, i.Cache.Views.rows, i.Cache.Views.bytes))
-      (Cache.Views.definitions vt')
-  in
-  Alcotest.(check (list (triple string int int)))
-    "incremental contents = cold rebuild" (shape vc) (shape vt);
-  check_agreement ~msg:"cold rebuild" sys_base sys_cold
+  check_agreement ~msg:"fresh tier" sys_views sys_cold
 
 (* ---- qcheck: bit-identity under random insert/delete interleavings ---- *)
 
@@ -275,9 +304,6 @@ let prop_mutation_interleaving =
     (fun ops ->
       Par.set_jobs 1;
       let store, sys_base, sys_views = fresh_pair () in
-      let _sel =
-        Rqa.View_select.select_and_install ~budget sys_views workload
-      in
       let agree () =
         List.for_all
           (fun strat ->
@@ -323,12 +349,8 @@ let () =
         [
           Alcotest.test_case "profiles × jobs" `Quick
             test_differential_profiles_jobs;
-        ] );
-      ( "selection",
-        [
-          Alcotest.test_case "budget 0" `Quick test_budget_zero_selects_nothing;
-          Alcotest.test_case "deterministic" `Quick
-            test_selection_deterministic;
+          Alcotest.test_case "budget trips inside a replay" `Quick
+            test_budget_trips_in_replay;
         ] );
       ( "maintenance",
         [
