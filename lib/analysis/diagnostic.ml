@@ -17,8 +17,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Error -> "error"
 
-let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
-let compare_severity a b = Int.compare (severity_rank a) (severity_rank b)
 let is_error d = d.severity = Error
 let has_errors ds = List.exists is_error ds
 let errors ds = List.filter is_error ds

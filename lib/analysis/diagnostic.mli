@@ -32,9 +32,6 @@ val info : code:string -> context:string -> string -> t
 val severity_to_string : severity -> string
 (** ["error"], ["warning"] or ["info"]. *)
 
-val compare_severity : severity -> severity -> int
-(** Orders [Info < Warning < Error]. *)
-
 val is_error : t -> bool
 (** Whether the diagnostic has [Error] severity. *)
 

@@ -5,21 +5,7 @@ open Query
 
 type mode = Off | On | Answers_off
 
-let mode_of_string = function
-  | "on" -> Ok On
-  | "off" -> Ok Off
-  | "answers-off" -> Ok Answers_off
-  | s -> Error (Printf.sprintf "bad cache mode %S (want on|off|answers-off)" s)
-
-let mode_to_string = function
-  | On -> "on"
-  | Off -> "off"
-  | Answers_off -> "answers-off"
-
-let default_mode () =
-  match Sys.getenv_opt "RDFQA_CACHE" with
-  | None -> On
-  | Some s -> ( match mode_of_string s with Ok m -> m | Error _ -> On)
+let modes = [ ("on", On); ("off", Off); ("answers-off", Answers_off) ]
 
 type tier_stats = {
   hits : int;
@@ -102,9 +88,8 @@ let make_reformulator max_terms schema =
    times that size. *)
 let fragment_capacity_bytes = 32 * 1024 * 1024
 
-let create ?mode ?max_terms ?(answer_capacity_bytes = 64 * 1024 * 1024)
-    ?reformulator store =
-  let mode = match mode with Some m -> m | None -> default_mode () in
+let create ?(mode = On) ?max_terms
+    ?(answer_capacity_bytes = 64 * 1024 * 1024) ?reformulator store =
   {
     store;
     max_terms;

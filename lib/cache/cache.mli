@@ -46,14 +46,9 @@ type mode =
       (** tiers 1-2 only: plan caching without result or fragment
           caching *)
 
-val mode_of_string : string -> (mode, string) result
-(** Parses ["on"], ["off"], ["answers-off"]. *)
-
-val mode_to_string : mode -> string
-
-val default_mode : unit -> mode
-(** The [RDFQA_CACHE] environment variable parsed with {!mode_of_string};
-    [On] when unset or unparseable. *)
+val modes : (string * mode) list
+(** Each mode under its command-line name: ["on"], ["off"],
+    ["answers-off"]. *)
 
 type tier_stats = {
   hits : int;
@@ -83,7 +78,7 @@ val create :
   ?reformulator:Reformulation.Reformulate.t ->
   Store.Encoded_store.t ->
   t
-(** A cache over a store.  [mode] defaults to {!default_mode}.
+(** A cache over a store.  [mode] defaults to [On].
     [max_terms] is forwarded to the reformulation engines built per schema
     generation.  [answer_capacity_bytes] bounds tier 3 (default 64 MiB);
     tier 4 holds at most 32 MiB.

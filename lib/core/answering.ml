@@ -16,6 +16,15 @@ let strategy_name = function
   | Ecov _ -> "ECov"
   | Gcov -> "GCov"
 
+let strategies =
+  [
+    ("saturation", Saturation);
+    ("ucq", Ucq);
+    ("scq", Scq);
+    ("ecov", Ecov Cover_space.default_budget);
+    ("gcov", Gcov);
+  ]
+
 (* Unlike [strategy_name], the key spells the ECov budget out: two budgets
    explore different prefixes of the cover space and may select different
    covers, so their answers must not share tier-3 entries. *)
@@ -183,6 +192,26 @@ let objective s q =
   let shared = Cache.tier2 s.cache ~scope:s.scope ~query_key:(query_key q) in
   Objective.create ~fragment_capacity ?shared ~reformulate ~jucq_cost
     ~ucq_cost q
+
+let scq_statement s q =
+  let refm = reformulator s in
+  let capacity =
+    (Engine.Executor.profile s.engine).Engine.Profile.max_union_terms
+  in
+  let cover = Jucq.scq_cover q in
+  if
+    List.exists
+      (fun f ->
+        Reformulation.Reformulate.count_product_bound refm
+          (Jucq.cover_query q cover f)
+        > capacity)
+      cover
+  then None
+  else
+    let reformulate cq = Reformulation.Reformulate.reformulate refm cq in
+    match Jucq.make ~reformulate q cover with
+    | j -> Some j
+    | exception Reformulation.Reformulate.Too_large _ -> None
 
 type report = {
   answers : Engine.Relation.t;

@@ -30,6 +30,11 @@ type strategy =
 val strategy_name : strategy -> string
 (** Short display name ("UCQ", "GCov", …). *)
 
+val strategies : (string * strategy) list
+(** Each strategy under its command-line and protocol name:
+    ["saturation"], ["ucq"], ["scq"], ["ecov"] (under
+    {!Cover_space.default_budget}) and ["gcov"]. *)
+
 type cost_oracle =
   | Paper_model   (** the Section 4.1 analytic model (calibrated) *)
   | Engine_model  (** the engine's internal estimate ({!Engine.Executor.explain_cost}) *)
@@ -90,6 +95,13 @@ val cost_model : system -> Cost_model.t
 val objective : system -> Query.Bgp.t -> Objective.t
 (** A fresh search objective for a query, wired to the system's
     reformulator and selected cost oracle. *)
+
+val scq_statement : system -> Query.Bgp.t -> Query.Jucq.t option
+(** The SCQ-cover JUCQ of a normalized query: the statement static cost
+    admission checks ([rdfqa check --cost], [rdfqa stats] and the
+    server's per-request budget).  [None] when a fragment's reformulation
+    is provably over the engine profile's union capacity (it is then never
+    built) or over the reformulator's term cap. *)
 
 type report = {
   answers : Engine.Relation.t;   (** the (deduplicated) answer relation *)

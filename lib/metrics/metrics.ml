@@ -210,7 +210,6 @@ let gauge ?(help = "") name =
     (function E_gauge g -> Some g | _ -> None)
 
 let set_gauge g v = if Atomic.get on then Atomic.set g.g v
-let gauge_value g = Atomic.get g.g
 
 let sample ?(help = "") name f =
   with_reg (fun () ->
@@ -240,7 +239,6 @@ let histogram ?(help = "") name =
     (function E_histogram h -> Some h | _ -> None)
 
 let observe h v = if Atomic.get on then Histogram.observe h.h v
-let histogram_value h = Histogram.copy h.h
 
 let reset () =
   with_reg (fun () ->

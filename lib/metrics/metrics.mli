@@ -148,8 +148,6 @@ val gauge : ?help:string -> string -> gauge
 val set_gauge : gauge -> float -> unit
 (** Sets a gauge (no-op when disabled). *)
 
-val gauge_value : gauge -> float
-
 val sample : ?help:string -> string -> (unit -> float) -> unit
 (** [sample name f] registers a gauge whose value is [f ()] evaluated at
     snapshot time — for values that are cheap to read but pointless to
@@ -166,9 +164,6 @@ val histogram : ?help:string -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Records a value (no-op when disabled). *)
-
-val histogram_value : histogram -> Histogram.t
-(** A point-in-time copy (safe to read while other domains observe). *)
 
 (** {1 Snapshots and exporters} *)
 

@@ -31,7 +31,6 @@ type t = {
 
 let jobs t = t.width
 let requested_jobs t = t.requested
-let is_busy t = Atomic.get t.busy
 
 let force_jobs () =
   match Sys.getenv_opt "RDFQA_JOBS_FORCE" with

@@ -42,11 +42,6 @@ val jobs : t -> int
 val requested_jobs : t -> int
 (** The width the pool was asked for, before the core clamp. *)
 
-val is_busy : t -> bool
-(** [true] while a job is in flight on the pool.  A caller seeing [true]
-    should take its sequential path: submitting anyway is safe (the pool
-    falls back inline) but pointless. *)
-
 val shutdown : t -> unit
 (** Terminates and joins the worker domains.  Idempotent. *)
 

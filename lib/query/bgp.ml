@@ -112,11 +112,6 @@ let apply_subst bindings q =
   let map_atom a = { s = term a.s; p = term a.p; o = term a.o } in
   { head = List.map term q.head; body = List.map map_atom q.body }
 
-let rename_var x y q =
-  let term = function Var v when v = x -> Var y | t -> t in
-  let map_atom a = { s = term a.s; p = term a.p; o = term a.o } in
-  { head = List.map term q.head; body = List.map map_atom q.body }
-
 (* Total parallel renaming: every variable of [q] must be in the mapping's
    domain; all occurrences are replaced in one traversal, so permuting
    renamings cannot capture each other. *)

@@ -75,9 +75,6 @@ val is_connected : atom list -> bool
 val apply_subst : (string * Rdf.Term.t) list -> t -> t
 (** Applies a variable-to-constant substitution to head and body. *)
 
-val rename_var : string -> string -> t -> t
-(** [rename_var x y q] replaces variable [x] by variable [y] everywhere. *)
-
 val canonical : t -> t
 (** A canonical representative of the query modulo renaming of
     non-distinguished variables and reordering of body atoms; two

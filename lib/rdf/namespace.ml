@@ -49,6 +49,4 @@ let compact t term =
       | None -> Term.to_string term)
   | Term.Literal _ | Term.Bnode _ -> Term.to_string term
 
-let compact_row t row = String.concat "\t" (List.map (compact t) row)
-
 let prefixes t = t

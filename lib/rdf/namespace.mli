@@ -28,8 +28,5 @@ val compact : t -> Term.t -> string
 (** Renders a term, using the longest registered base that prefixes it;
     falls back to {!Term.to_string}. *)
 
-val compact_row : t -> Term.t list -> string
-(** Tab-separated {!compact} rendering of an answer row. *)
-
 val prefixes : t -> (string * string) list
 (** The registered (prefix, base) pairs, longest base first. *)

@@ -165,9 +165,6 @@ let properties_with_range s c = inverse_typing s.range_of s c
 let is_subclass s c c' =
   Term.equal c c' || Term.Set.mem c' (adj_find s.subclass_up c)
 
-let is_subproperty s p p' =
-  Term.equal p p' || Term.Set.mem p' (adj_find s.subprop_up p)
-
 let closure s =
   let pairs m mk =
     Term.Map.fold

@@ -86,9 +86,6 @@ val properties_with_range : t -> Term.t -> Term.Set.t
 val is_subclass : t -> Term.t -> Term.t -> bool
 (** [is_subclass s c c'] holds iff [c ⊑* c'] in the closure (reflexively). *)
 
-val is_subproperty : t -> Term.t -> Term.t -> bool
-(** [is_subproperty s p p'] holds iff [p ⊑* p'] (reflexively). *)
-
 val equal_closure : t -> t -> bool
 (** Whether two schemas have the same saturation (same-schema relation of
     Definition 3.2). *)

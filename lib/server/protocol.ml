@@ -7,8 +7,6 @@ type request =
   | Ping
   | Quit
 
-let strategies = [ "saturation"; "ucq"; "scq"; "ecov"; "gcov" ]
-
 let split_command line =
   match String.index_opt line ' ' with
   | None -> (line, "")
@@ -38,7 +36,7 @@ let parse_request line =
             String.lowercase_ascii
               (String.sub cmd (i + 1) (String.length cmd - i - 1))
           in
-          if not (List.mem s strategies) then
+          if not (List.mem_assoc s Rqa.Answering.strategies) then
             Error ("unknown strategy: " ^ s)
           else if rest = "" then Error "QUERY needs a SPARQL text"
           else Ok (Query { strategy = Some s; text = rest })

@@ -8,7 +8,7 @@ type config = {
   port : int;
   strategy : Rqa.Answering.strategy;
   profile : Engine.Profile.t;
-  cache_mode : Cache.mode option;
+  cache_mode : Cache.mode;
   budget : int option;
   warm : Query.Bgp.t list;
 }
@@ -19,18 +19,10 @@ let default_config =
     port = 0;
     strategy = Rqa.Answering.Gcov;
     profile = Engine.Profile.postgres_like;
-    cache_mode = None;
+    cache_mode = Cache.On;
     budget = None;
     warm = [];
   }
-
-let strategy_of_string = function
-  | "saturation" -> Some Rqa.Answering.Saturation
-  | "ucq" -> Some Rqa.Answering.Ucq
-  | "scq" -> Some Rqa.Answering.Scq
-  | "ecov" -> Some (Rqa.Answering.Ecov Rqa.Cover_space.default_budget)
-  | "gcov" -> Some Rqa.Answering.Gcov
-  | _ -> None
 
 (* Process-level serving metrics.  Registered at module initialization,
    so any binary linking the server exports the families zero-valued —
@@ -181,38 +173,23 @@ let admission_error t sys q =
   match t.config.budget with
   | None -> None
   | Some budget -> (
-      let engine = Rqa.Answering.engine sys in
-      let oracle = Engine.Executor.cost_oracle engine in
-      let refm = Rqa.Answering.reformulator sys in
-      let capacity = oracle.Analysis.Cost_verify.max_union_terms in
-      let cover = Query.Jucq.scq_cover q in
-      let too_large =
-        List.exists
-          (fun f ->
-            Reformulation.Reformulate.count_product_bound refm
-              (Query.Jucq.cover_query q cover f)
-            > capacity)
-          cover
-      in
-      if too_large then None
-      else
-        let reformulate cq = Reformulation.Reformulate.reformulate refm cq in
-        match Query.Jucq.make ~reformulate q cover with
-        | j -> (
-            let diags =
-              Analysis.Cost_verify.admission oracle ~budget ~context:"server"
-                (Analysis.Cost_verify.Jucq j)
-            in
-            match Analysis.Diagnostic.errors diags with
-            | [] -> None
-            | d :: _ -> Some (Analysis.Diagnostic.to_string d))
-        | exception Reformulation.Reformulate.Too_large _ -> None)
+      match Rqa.Answering.scq_statement sys q with
+      | None -> None
+      | Some j -> (
+          let oracle = Engine.Executor.cost_oracle (Rqa.Answering.engine sys) in
+          let diags =
+            Analysis.Cost_verify.admission oracle ~budget ~context:"server"
+              (Analysis.Cost_verify.Jucq j)
+          in
+          match Analysis.Diagnostic.errors diags with
+          | [] -> None
+          | d :: _ -> Some (Analysis.Diagnostic.to_string d)))
 
 let handle_query t sys oc strategy_name text =
   let strategy =
     match strategy_name with
     | None -> Some t.config.strategy
-    | Some s -> strategy_of_string s
+    | Some s -> List.assoc_opt s Rqa.Answering.strategies
   in
   match strategy with
   | None -> err oc ("unknown strategy: " ^ Option.get strategy_name)
@@ -407,10 +384,7 @@ let start config store =
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let cache = Cache.create store in
-  (match config.cache_mode with
-  | Some m -> Cache.set_mode cache m
-  | None -> ());
+  let cache = Cache.create ~mode:config.cache_mode store in
   let warm_sys = Rqa.Answering.make ~profile:config.profile ~cache store in
   Rqa.Answering.warm_up warm_sys config.warm;
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

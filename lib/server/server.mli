@@ -52,18 +52,14 @@ type config = {
   port : int;               (** TCP port; [0] binds an ephemeral port *)
   strategy : Rqa.Answering.strategy;  (** default answering strategy *)
   profile : Engine.Profile.t;
-  cache_mode : Cache.mode option;     (** [None] keeps the cache default *)
+  cache_mode : Cache.mode;  (** mode of the cache every connection shares *)
   budget : int option;      (** per-request cost admission budget *)
   warm : Query.Bgp.t list;  (** workload queries to pre-intern at boot *)
 }
 
 val default_config : config
-(** Loopback, ephemeral port, GCov, postgres-like profile, no budget, no
-    warm-up queries. *)
-
-val strategy_of_string : string -> Rqa.Answering.strategy option
-(** ["saturation" | "ucq" | "scq" | "ecov" | "gcov"], as the protocol's
-    [QUERY/<strategy>] override spells them. *)
+(** Loopback, ephemeral port, GCov, postgres-like profile, cache on, no
+    budget, no warm-up queries. *)
 
 type t
 

@@ -334,16 +334,6 @@ let selected_count = function
   | Ids v -> Intvec.length v
   | All n -> n
 
-let iter_matching t ~s ~p ~o f =
-  match select t ~s ~p ~o with
-  | Miss -> ()
-  | Hit id -> f id
-  | Ids v -> Intvec.iter f v
-  | All n ->
-      for i = 0 to n - 1 do
-        f i
-      done
-
 let count_codes t ~s ~p ~o = selected_count (select t ~s ~p ~o)
 
 let count t pat =

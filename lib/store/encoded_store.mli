@@ -105,7 +105,7 @@ val obj : t -> int -> int
 
 val unsafe_subject : t -> int -> int
 (** Like {!subject}, without the bounds check: [i] must be a valid triple
-    id (as produced by {!iter_matching} / {!matching}).  For the engine's
+    id (as produced by {!select} / {!matching}).  For the engine's
     innermost loops. *)
 
 val unsafe_property : t -> int -> int
@@ -132,12 +132,8 @@ val select : t -> s:int -> p:int -> o:int -> selection
 val selected_count : selection -> int
 (** Number of triple ids a selection denotes. *)
 
-val iter_matching : t -> s:int -> p:int -> o:int -> (int -> unit) -> unit
-(** [iter_matching t ~s ~p ~o f] calls [f] on every triple id matching the
-    sentinel-coded pattern, via {!select} — no id vector is built. *)
-
 val count_codes : t -> s:int -> p:int -> o:int -> int
-(** Number of triples {!iter_matching} would visit, with the same sentinel
+(** Number of triples {!select} would denote, with the same sentinel
     convention, as an O(1) index lookup.  Agrees with {!count}. *)
 
 val matching : t -> pattern -> Intvec.t

@@ -7,8 +7,8 @@
     [x ub:degreeFrom u] into 4, [x ub:memberOf u] into 3, making the
     motivating queries q1 and q2 reformulate into 2,256 and 318,096 CQs
     (Tables 1-3).  The generator is deterministic given a seed and scales
-    linearly with the number of universities (roughly 5,200 triples per
-    university); like the paper's setup, only {e explicit} triples are
+    linearly with the number of universities (about 3,045 triples per
+    university: LUBM-8 has 24,356, LUBM-40 121,798); like the paper's setup, only {e explicit} triples are
     produced — implicit class/property memberships are left to reasoning
     (e.g. [ub:degreeFrom] facts exist only through its three
     sub-properties). *)
@@ -24,7 +24,7 @@ val university : int -> Rdf.Term.t
     of constant the evaluation queries mention. *)
 
 type scale = { universities : int }
-(** Generator scale.  1M-triple-class runs use ~190 universities; unit
+(** Generator scale.  A 1M-triple run needs about 330 universities; unit
     tests use 1-2. *)
 
 val generate : ?seed:int -> scale -> Store.Encoded_store.t

@@ -122,11 +122,12 @@ let test_explain_plan () =
   Alcotest.(check bool) "gcov line" true (contains body "GCov picks");
   Alcotest.(check bool) "plan printed" true (contains body "Project head")
 
+(* The SQL of the GCov JUCQ, printed by [explain --plan]. *)
 let test_sql () =
   let data = Lazy.force data_file in
   let code, body =
     run_capture
-      (Printf.sprintf "sql -d %s --workload-query lubm:Q01" data)
+      (Printf.sprintf "explain -d %s --workload-query lubm:Q01 --plan" data)
   in
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check bool) "select" true (contains body "SELECT DISTINCT");
@@ -168,12 +169,11 @@ let validate_trace path =
   Sys.remove out;
   (code, body)
 
-let test_query_trace () =
+let test_trace_tree () =
   let data = Lazy.force data_file in
   let code, body =
     run_capture
-      (Printf.sprintf
-         "query -d %s --workload-query lubm:Q01 -s gcov --trace" data)
+      (Printf.sprintf "trace -d %s --workload-query lubm:Q01 -s gcov" data)
   in
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check bool) "explain analyze tree" true
@@ -467,6 +467,59 @@ let test_unknown_workload_query () =
       "check --workload-query dblp:Q99";
     ]
 
+(* ---- serve: boots with the benchmark's command line ---- *)
+
+(* Starts [rdfqa serve] with perfbench/serve.ml's exact argv, answers one
+   PING through [rdfqa client], then drains on SIGTERM. *)
+let test_serve_boot () =
+  let data = Lazy.force data_file in
+  let port_file = Filename.temp_file "rqa_cli" ".port" in
+  Sys.remove port_file;
+  let log = Filename.temp_file "rqa_cli" ".log" in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process exe
+      [|
+        exe; "serve"; "-w"; "lubm"; "-d"; data; "-s"; "gcov"; "-e";
+        "postgres"; "--cache"; "on"; "--jobs"; "1"; "--port-file"; port_file;
+      |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let exited = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !exited then Unix.kill pid Sys.sigkill;
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ port_file; log ])
+  @@ fun () ->
+  (* the port file is written in one piece once the server listens *)
+  let rec await n =
+    let listening =
+      Sys.file_exists port_file
+      && int_of_string_opt (String.trim (read_file port_file)) <> None
+    in
+    if not listening then begin
+      if n = 0 then Alcotest.fail "serve wrote no port file within 60 s";
+      Unix.sleepf 0.05;
+      await (n - 1)
+    end
+  in
+  await 1200;
+  let code, body =
+    run_capture (Printf.sprintf "client --port-file %s PING" port_file)
+  in
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  exited := true;
+  Alcotest.(check int) "client exit code" 0 code;
+  Alcotest.(check bool) "pong" true (contains body "OK pong");
+  Alcotest.(check bool) "serve exits 0 on SIGTERM" true
+    (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "drained line" true
+    (contains (read_file log) "-- drained:")
+
 let () =
   Alcotest.run "cli"
     [
@@ -481,7 +534,8 @@ let () =
           Alcotest.test_case "explain --plan" `Quick test_explain_plan;
           Alcotest.test_case "sql" `Quick test_sql;
           Alcotest.test_case "turtle workflow" `Quick test_turtle_workflow;
-          Alcotest.test_case "query --trace" `Quick test_query_trace;
+          Alcotest.test_case "trace prints the analyze tree" `Quick
+            test_trace_tree;
           Alcotest.test_case "trace subcommand" `Quick test_trace_subcommand;
           Alcotest.test_case "trace workload calibration" `Quick
             test_trace_workload_calibration;
@@ -508,5 +562,7 @@ let () =
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
           Alcotest.test_case "unknown workload query exits 2" `Quick
             test_unknown_workload_query;
+          Alcotest.test_case "serve boots with the benchmark argv" `Quick
+            test_serve_boot;
         ] );
     ]

@@ -376,7 +376,8 @@ let expected_rows sys strategy q =
 
 let q_class_text = "SELECT ?s WHERE { ?s a <B> }"
 
-let with_server ?budget ?cache_mode ?(warm = [ q_class; q_prop ]) store f =
+let with_server ?budget ?(cache_mode = Cache.On) ?(warm = [ q_class; q_prop ])
+    store f =
   let config =
     {
       Server.default_config with
